@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rocket_apps::bioinfo::{composition_vector, sparse_correlation};
 use rocket_apps::forensics::ForensicsApp;
-use rocket_apps::microscopy::{gmm_l2_score, register, rotate, Metric};
+use rocket_apps::microscopy::{gmm_l2_score, register, rotate, Metric, MicroscopyConfig};
 use rocket_stats::Xoshiro256;
 
 fn bench_forensics(c: &mut Criterion) {
@@ -67,6 +67,25 @@ fn bench_microscopy(c: &mut Criterion) {
                 Metric::GmmL2,
                 24,
                 0.1,
+            )
+        });
+    });
+    // The kernel as `MicroscopyApp` runs it: bandwidth twice the default
+    // noise, and 90-point particles, the mean of the default 60..=120
+    // range.
+    let app_particle: Vec<(f32, f32)> = (0..90)
+        .map(|_| (rng.f64() as f32 * 2.0, rng.f64() as f32 * 2.0))
+        .collect();
+    let app_other = rotate(&app_particle, 0.7);
+    let app_sigma = 2.0 * MicroscopyConfig::default().noise;
+    group.bench_function("register_app_sigma_90pts", |b| {
+        b.iter(|| {
+            register(
+                black_box(&app_particle),
+                black_box(&app_other),
+                Metric::GmmL2,
+                24,
+                app_sigma,
             )
         });
     });

@@ -29,15 +29,13 @@ enum TaskMsg<E> {
 pub(crate) struct Resource<E> {
     tx: Sender<TaskMsg<E>>,
     threads: Vec<JoinHandle<()>>,
-    #[allow(dead_code)]
-    class: ThreadClass,
-    #[allow(dead_code)]
-    lane: u32,
 }
 
 impl<E: Send + 'static> Resource<E> {
-    /// Spawns `threads` workers of `class`/`lane` sharing one task queue.
-    /// Completed events go to `events`.
+    /// Spawns `threads` workers of `class` sharing one task queue. Worker
+    /// `i` records its spans on lane `lane + i`, so a trace never shows two
+    /// tasks of one pool running on the same lane at once. Completed events
+    /// go to `events`.
     pub fn spawn(
         name: &str,
         class: ThreadClass,
@@ -53,6 +51,7 @@ impl<E: Send + 'static> Resource<E> {
                 let rx = rx.clone();
                 let events = events.clone();
                 let recorder = Arc::clone(&recorder);
+                let lane = lane + i as u32;
                 std::thread::Builder::new()
                     .name(format!("rocket-{name}-{i}"))
                     .spawn(move || {
@@ -77,8 +76,6 @@ impl<E: Send + 'static> Resource<E> {
         Self {
             tx,
             threads: handles,
-            class,
-            lane,
         }
     }
 
@@ -87,18 +84,6 @@ impl<E: Send + 'static> Resource<E> {
         self.tx
             .send(TaskMsg::Run { kind, tag, task })
             .expect("resource thread gone");
-    }
-
-    /// The resource's thread class.
-    #[allow(dead_code)]
-    pub fn class(&self) -> ThreadClass {
-        self.class
-    }
-
-    /// The resource's lane (device index).
-    #[allow(dead_code)]
-    pub fn lane(&self) -> u32 {
-        self.lane
     }
 
     /// Stops all workers and joins them.
@@ -171,8 +156,35 @@ mod tests {
     fn shutdown_joins_cleanly() {
         let (etx, _erx) = unbounded::<()>();
         let r = Resource::<()>::spawn("s", ThreadClass::Gpu, 2, 2, etx, TraceRecorder::disabled());
-        assert_eq!(r.class(), ThreadClass::Gpu);
-        assert_eq!(r.lane(), 2);
         r.shutdown();
+    }
+
+    #[test]
+    fn pool_workers_record_on_their_own_lanes() {
+        let (etx, erx) = unbounded::<()>();
+        let rec = TraceRecorder::shared();
+        let r = Resource::spawn("lanes", ThreadClass::Cpu, 2, 2, etx, Arc::clone(&rec));
+        // Each task waits for the other, so the two run at once, one per
+        // worker.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        for _ in 0..2 {
+            let barrier = Arc::clone(&barrier);
+            r.submit(
+                TaskKind::Compare,
+                0,
+                Box::new(move || {
+                    barrier.wait();
+                    Some(())
+                }),
+            );
+        }
+        erx.recv().unwrap();
+        erx.recv().unwrap();
+        r.shutdown();
+        let spans = rec.take();
+        let mut lanes: Vec<u32> = spans.iter().map(|s| s.lane).collect();
+        lanes.sort_unstable();
+        assert_eq!(lanes, vec![2, 3]);
+        assert!(!rocket_trace::Timeline::new(spans).has_lane_overlap());
     }
 }

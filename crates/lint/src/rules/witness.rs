@@ -102,7 +102,8 @@ impl Witness {
 
 /// Cross-checks the static edge set against the witness. `witness_path`
 /// is only used as the diagnostic location for RL-X002 (there is no
-/// source line for an edge the model never derived).
+/// source line for an edge the model never derived); callers pass it
+/// workspace-relative, like every other diagnostic path.
 pub fn check(
     files: &[SourceFile],
     witness: &Witness,
