@@ -4,7 +4,7 @@
 //!
 //! The cluster scenarios are the canonical anchors from
 //! [`rocket_bench::anchors`] — the same configurations the committed
-//! `BENCH_8.json` snapshot and the shard-equivalence tests use, so a
+//! `BENCH_8.json` snapshot and the simulator's golden tests use, so a
 //! bench regression and a correctness regression point at the same
 //! scenario.
 
@@ -61,10 +61,6 @@ fn bench_cluster(c: &mut Criterion) {
         let s = anchors::four_nodes_n96_distcache();
         b.iter(|| run_pairs(&SimBackend::new(), &s));
     });
-    group.bench_function("four_nodes_n96_distcache_4shards", |b| {
-        let s = anchors::four_nodes_n96_distcache();
-        b.iter(|| run_pairs(&SimBackend::sharded(4), &s));
-    });
     group.finish();
 }
 
@@ -89,11 +85,8 @@ fn bench_large_cluster(c: &mut Criterion) {
 }
 
 fn bench_thousand_nodes(c: &mut Criterion) {
-    // The thousands-of-nodes anchor the sharded engine targets: 1024
-    // single-GPU nodes, 523 776 pairs, cloud-scale network latency.
-    // Sequential vs 8 shards on the steal pool — the results are
-    // byte-identical, only wall-clock differs (the parallel win needs
-    // hardware threads; see BENCH_8.json's host_parallelism field).
+    // The thousands-of-nodes anchor: 1024 single-GPU nodes, 523 776
+    // pairs, cloud-scale network latency.
     let mut group = c.benchmark_group("cluster_sim");
     group.sample_size(10);
     let n = 1024u64;
@@ -101,10 +94,6 @@ fn bench_thousand_nodes(c: &mut Criterion) {
     group.bench_function("thousand_nodes", |b| {
         let s = anchors::thousand_nodes();
         b.iter(|| run_pairs(&SimBackend::new(), &s));
-    });
-    group.bench_function("thousand_nodes_8shards", |b| {
-        let s = anchors::thousand_nodes();
-        b.iter(|| run_pairs(&SimBackend::sharded(8), &s));
     });
     group.finish();
 }

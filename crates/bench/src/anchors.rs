@@ -1,9 +1,9 @@
 //! Canonical benchmark scenarios ("anchors") shared by the criterion
 //! benches (`benches/des.rs`), the `rocket-bench-snapshot` binary, and the
-//! simulator's shard-equivalence tests.
+//! simulator's golden tests (which duplicate them at the `SimConfig` level).
 //!
 //! Keeping these in one place means the committed snapshot
-//! (`BENCH_8.json`), the CI smoke runs, and the equivalence suite all
+//! (`BENCH_8.json`), the CI smoke runs, and the golden suite all
 //! exercise the *same* configurations — a bench regression and a
 //! correctness regression point at the same scenario.
 
@@ -52,10 +52,9 @@ pub fn sixteen_nodes_4gpu_n256_distcache() -> Scenario {
 }
 
 /// 1 024 single-GPU nodes, n = 1 024 (523 776 pairs): the
-/// thousands-of-nodes anchor the sharded engine targets. Network latency
-/// is cloud-scale (200 µs instead of the InfiniBand default) — that widens
-/// the conservative lookahead window, so the parallel engine synchronizes
-/// thousands of times instead of millions.
+/// thousands-of-nodes anchor. Network latency is cloud-scale (200 µs
+/// instead of the InfiniBand default), which widens the simulator's
+/// window and so thins out its boundary steal matches.
 pub fn thousand_nodes() -> Scenario {
     let mut s = scenario(1024, 1024, NodeSpec::uniform(1, 8, 16));
     s.net_latency = 200e-6;

@@ -2,11 +2,10 @@
 //! `BENCH_8.json`.
 //!
 //! The snapshot records the median wall-clock time of each canonical
-//! bench anchor (`rocket_bench::anchors`) plus the sharded-DES speedup on
-//! the `thousand_nodes` anchor, with enough host metadata to interpret
-//! the numbers later. It is the committed waypoint of the performance
-//! trajectory: PRs that touch the simulator re-run it and the diff shows
-//! the cost or win.
+//! bench anchor (`rocket_bench::anchors`), with enough host metadata to
+//! interpret the numbers later. It is the committed waypoint of the
+//! performance trajectory: PRs that touch the simulator re-run it and the
+//! diff shows the cost or win.
 //!
 //! ```text
 //! rocket-bench-snapshot                   # measure, write BENCH_8.json
@@ -32,16 +31,9 @@
 //! * `3` — no regression, at least one gated row *improved* beyond its
 //!   band (time to re-record the snapshot).
 //!
-//! Two interpretation rules keep the gate honest. A row whose committed
-//! median was taken from fewer than `--min-samples` samples (default 3)
-//! is reported but not gated — medians of tiny samples are noise. And the
-//! sharded row gates only when the current host falls in the same
-//! parallelism class (single-core vs multi-core) as the recording host:
-//! `BENCH_8.json` was recorded at `host_parallelism: 1`, where 8 shards
-//! measure ~0.925× sequential (barrier overhead, nothing to parallelize
-//! onto) — a multi-core host comparing against that number would read a
-//! healthy parallel speedup as a huge "improvement", and vice versa a
-//! single-core host would flag a multi-core snapshot as a regression.
+//! A row whose committed median was taken from fewer than `--min-samples`
+//! samples (default 3) is reported but not gated — medians of tiny
+//! samples are noise.
 
 use std::process::ExitCode;
 
@@ -49,10 +41,6 @@ use rocket_bench::anchors;
 use rocket_core::clock::stopwatch;
 use rocket_core::Backend;
 use rocket_sim::SimBackend;
-
-/// Snapshot rows: every sequential anchor, plus `thousand_nodes` on 8
-/// shards (the parallel-DES headline measurement).
-const SHARDED_ROW: &str = "thousand_nodes_8shards";
 
 /// Default relative noise band for `--compare`.
 const DEFAULT_TOLERANCE: f64 = 0.10;
@@ -78,8 +66,8 @@ fn measure(backend: &SimBackend, scenario: &rocket_core::Scenario, samples: usiz
     median_ns(&mut times)
 }
 
-/// Measures every snapshot row: the sequential anchors, then the sharded
-/// headline. Shared by the writer and the comparator.
+/// Measures every snapshot row, one per anchor. Shared by the writer and
+/// the comparator.
 fn measure_all(samples: usize) -> Vec<(String, u128, u64)> {
     let mut rows = Vec::new();
     for (name, make) in anchors::ALL {
@@ -88,35 +76,17 @@ fn measure_all(samples: usize) -> Vec<(String, u128, u64)> {
         let ns = measure(&SimBackend::new(), &s, samples);
         rows.push((name.to_string(), ns, s.workload.pairs()));
     }
-    let thousand = anchors::thousand_nodes();
-    eprintln!("measuring {SHARDED_ROW} ({samples} samples)…");
-    let sharded_ns = measure(&SimBackend::sharded(8), &thousand, samples);
-    rows.push((SHARDED_ROW.into(), sharded_ns, thousand.workload.pairs()));
     rows
 }
 
 fn write_snapshot(out: &str, samples: usize) {
     let rows = measure_all(samples);
-    let seq_ns = rows
-        .iter()
-        .find(|(n, ..)| n == "thousand_nodes")
-        .map(|&(_, ns, _)| ns)
-        .expect("thousand_nodes row");
-    let sharded_ns = rows
-        .iter()
-        .find(|(n, ..)| n == SHARDED_ROW)
-        .map(|&(_, ns, _)| ns)
-        .expect("sharded row");
-    let speedup = seq_ns as f64 / sharded_ns as f64;
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
 
     let mut json = String::from("{\n");
     json.push_str("  \"schema\": 1,\n  \"pr\": 9,\n");
     json.push_str(&format!("  \"samples\": {samples},\n"));
     json.push_str(&format!("  \"host_parallelism\": {threads},\n"));
-    json.push_str(&format!(
-        "  \"thousand_nodes_speedup_8shards\": {speedup:.3},\n"
-    ));
     json.push_str("  \"benches\": {\n");
     for (i, (name, ns, pairs)) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -126,7 +96,7 @@ fn write_snapshot(out: &str, samples: usize) {
     }
     json.push_str("  }\n}\n");
     std::fs::write(out, &json).expect("write snapshot");
-    println!("wrote {out} (speedup x{speedup:.2} on {threads} hardware threads)");
+    println!("wrote {out} on {threads} hardware threads");
 }
 
 /// Extracts the integer following `"key": ` in the snapshot text.
@@ -148,8 +118,6 @@ fn snapshot_u64(text: &str, path: &str, key: &str) -> Result<u64, String> {
 struct Committed {
     /// Samples behind each committed median.
     samples: u64,
-    /// `available_parallelism` of the recording host.
-    host_parallelism: u64,
     /// `(row name, median_ns)` for every expected row.
     rows: Vec<(String, u128)>,
 }
@@ -159,13 +127,8 @@ fn parse_committed(path: &str) -> Result<Committed, String> {
     if !text.contains("\"schema\": 1") {
         return Err(format!("{path}: missing/unknown schema marker"));
     }
-    if !text.contains("\"thousand_nodes_speedup_8shards\":") {
-        return Err(format!("{path}: missing sharded speedup"));
-    }
-    let mut names: Vec<&str> = anchors::ALL.iter().map(|&(n, _)| n).collect();
-    names.push(SHARDED_ROW);
-    let mut rows = Vec::with_capacity(names.len());
-    for name in names {
+    let mut rows = Vec::with_capacity(anchors::ALL.len());
+    for &(name, _) in anchors::ALL {
         let needle = format!("\"{name}\": {{\"median_ns\": ");
         let at = text
             .find(&needle)
@@ -184,7 +147,6 @@ fn parse_committed(path: &str) -> Result<Committed, String> {
     }
     Ok(Committed {
         samples: snapshot_u64(&text, path, "samples")?,
-        host_parallelism: snapshot_u64(&text, path, "host_parallelism")?,
         rows,
     })
 }
@@ -227,11 +189,6 @@ struct CompareOpts {
 
 fn compare_snapshot(path: &str, opts: &CompareOpts) -> Result<Vec<RowVerdict>, String> {
     let committed = parse_committed(path)?;
-    let current_parallelism = std::thread::available_parallelism().map_or(1, usize::from) as u64;
-    // Apples-to-apples rule for the sharded row: barrier overhead vs real
-    // parallel speedup depends on the parallelism *class* of the host, so
-    // the row gates only when recorder and checker fall in the same class.
-    let same_class = (current_parallelism >= 2) == (committed.host_parallelism >= 2);
     let fresh = measure_all(opts.samples);
     let mut verdicts = Vec::with_capacity(committed.rows.len());
     for (name, committed_ns) in committed.rows {
@@ -253,12 +210,6 @@ fn compare_snapshot(path: &str, opts: &CompareOpts) -> Result<Vec<RowVerdict>, S
             reason = format!(
                 "committed median from {} samples, below the {}-sample floor",
                 committed.samples, opts.min_samples
-            );
-        } else if name == SHARDED_ROW && !same_class {
-            gated = false;
-            reason = format!(
-                "host parallelism class changed (committed {}, current {current_parallelism})",
-                committed.host_parallelism
             );
         }
         let ratio = fresh_ns as f64 / committed_ns as f64;

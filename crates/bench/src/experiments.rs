@@ -37,9 +37,7 @@ use rocket_sim::{model, SimBackend};
 use rocket_stats::{Distribution, Histogram, OnlineStats, Xoshiro256};
 use rocket_trace::TaskKind;
 
-use crate::anchors;
 use crate::util::{fmt_bytes, fmt_secs, write_result, Table};
-use rocket_core::clock::stopwatch;
 
 /// One reproducible experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,9 +70,6 @@ pub enum Experiment {
     Transports,
     /// §6.1 model sanity: closed form vs simulation at R = 1.
     Model,
-    /// Sharded-DES scaling on the 1024-node bench anchor: wall-clock vs
-    /// shard count, identical virtual-time results (beyond the paper).
-    Scale1k,
 }
 
 impl Experiment {
@@ -100,7 +95,6 @@ impl Experiment {
                 "threaded runtime over channels vs sockets: same results, wire traffic"
             }
             Experiment::Model => "S6.1 model sanity: closed form vs simulation at R = 1",
-            Experiment::Scale1k => "sharded DES on the 1024-node anchor: wall-clock vs shard count",
         }
     }
 }
@@ -120,7 +114,6 @@ pub const ALL_EXPERIMENTS: &[(&str, Experiment)] = &[
     ("cartesius96", Experiment::Cartesius96),
     ("transports", Experiment::Transports),
     ("model", Experiment::Model),
-    ("scale1k", Experiment::Scale1k),
 ];
 
 /// Options shared by all experiments.
@@ -268,7 +261,6 @@ pub fn run_experiment(exp: Experiment, opts: &ExpOptions) -> StudyReport {
         Experiment::Cartesius96 => cartesius96(opts),
         Experiment::Transports => transports(opts),
         Experiment::Model => model_check(opts),
-        Experiment::Scale1k => scale1k(opts),
     }
 }
 
@@ -1372,93 +1364,6 @@ fn model_check(opts: &ExpOptions) -> StudyReport {
     report
 }
 
-// ---------------------------------------------------------------------------
-// scale1k — sharded DES on the thousand-node bench anchor (beyond the paper)
-// ---------------------------------------------------------------------------
-
-const SCALE1K_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-/// Sharded-DES scaling on the `thousand_nodes` bench anchor: the same
-/// 1024-node scenario simulated at 1/2/4/8 shards. Virtual-time results
-/// are byte-identical across shard counts (asserted here; the simulator's
-/// shard-equivalence suite covers it exhaustively) — only wall-clock
-/// differs, and the note and CSV report it per shard count. The committed
-/// `BENCH_8.json` snapshot records the same measurement from the bench
-/// side.
-fn scale1k(opts: &ExpOptions) -> StudyReport {
-    let scale = opts.extra_scale.max(1);
-    let mut base = anchors::thousand_nodes();
-    // The extra CLI factor shrinks the cluster and the data set together,
-    // preserving per-node load (at the default scale this is the full
-    // 1024-node anchor).
-    base.workload = base.workload.scaled(scale);
-    let nodes = (base.nodes.len() as u64 / scale).max(8) as usize;
-    base.nodes.truncate(nodes);
-    base.seed = opts.seed;
-
-    // One single-cell study per shard count so each cell's wall-clock can
-    // be measured around its run; concatenated under a `sim_shards` axis.
-    let mut parts = Vec::new();
-    let mut walls = Vec::new();
-    for k in SCALE1K_SHARDS {
-        let sweep = Sweep::over(base.clone())
-            .axis(Axis::points(
-                "sim_shards",
-                [(AxisValue::from(k), move |s: &mut Scenario| {
-                    s.sim_shards = k;
-                })],
-            ))
-            .try_build()
-            .expect("scale1k sweep");
-        let sw = stopwatch();
-        let part = study(format!("scale1k-k{k}"), opts)
-            .run(&SimBackend::new(), &sweep)
-            .expect("scale1k study");
-        walls.push(sw.elapsed_secs());
-        parts.push(part);
-    }
-    let mut report = StudyReport::concat("scale1k", parts).expect("scale1k concat");
-
-    let (seq_pairs, seq_elapsed) = {
-        let r = report.cells[0].run();
-        (r.pairs, r.elapsed)
-    };
-    let mut csv = String::from("sim_shards,windows,wall_s,speedup,virtual_runtime_s\n");
-    let mut t = Table::new(&["shards", "windows", "wall", "speedup", "virtual runtime"]);
-    for (cell, (&k, &wall)) in report.cells.iter().zip(SCALE1K_SHARDS.iter().zip(&walls)) {
-        let r = cell.run();
-        assert_eq!(r.pairs, seq_pairs, "sharded run diverged at K = {k}");
-        assert_eq!(
-            r.elapsed.to_bits(),
-            seq_elapsed.to_bits(),
-            "sharded run diverged at K = {k}"
-        );
-        let speedup = walls[0] / wall;
-        t.row(vec![
-            k.to_string(),
-            r.sim_windows.to_string(),
-            format!("{wall:.2}s"),
-            format!("{speedup:.2}x"),
-            fmt_secs(r.elapsed),
-        ]);
-        csv.push_str(&format!(
-            "{k},{},{wall:.4},{speedup:.4},{:.4}\n",
-            r.sim_windows, r.elapsed
-        ));
-    }
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    write_result(&opts.out_dir, "scale1k.csv", &csv);
-    report.push_notes(&format!(
-        "scale1k — sharded DES on the 1024-node anchor (scale 1/{scale}, \
-         {seq_pairs} pairs)\nHost parallelism: {threads} hardware threads\n\n{}\n\
-         Shape check: identical virtual-time results at every shard count\n\
-         (asserted above); wall-clock speedup tracks hardware threads, so a\n\
-         1-thread host shows ~1.0x while the window structure stays intact.\n",
-        t.render()
-    ));
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1550,34 +1455,15 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        assert_eq!(ALL_EXPERIMENTS.len(), 14);
+        assert_eq!(ALL_EXPERIMENTS.len(), 13);
         let names: Vec<&str> = ALL_EXPERIMENTS.iter().map(|&(n, _)| n).collect();
         assert!(names.contains(&"table1"));
         assert!(names.contains(&"fig15"));
         assert!(names.contains(&"cartesius96"));
         assert!(names.contains(&"transports"));
-        assert!(names.contains(&"scale1k"));
         for &(name, exp) in ALL_EXPERIMENTS {
             assert!(!exp.description().is_empty(), "{name} lacks a description");
         }
-    }
-
-    #[test]
-    fn scale1k_shard_counts_agree() {
-        let opts = tiny_opts();
-        let report = scale1k(&opts);
-        assert_eq!(report.axes, vec!["sim_shards"]);
-        assert_eq!(report.cells.len(), SCALE1K_SHARDS.len());
-        // The driver itself asserts identical virtual-time results across
-        // shard counts; here check the surfaced shard metadata and files.
-        for (cell, k) in report.cells.iter().zip(SCALE1K_SHARDS) {
-            assert_eq!(cell.scenario.sim_shards, k);
-            assert_eq!(cell.run().sim_shards, k as u32);
-            assert!(cell.run().sim_windows > 0, "K = {k} counted no windows");
-        }
-        let csv = std::fs::read_to_string(opts.out_dir.join("scale1k.csv")).unwrap();
-        assert_eq!(csv.lines().count(), 1 + SCALE1K_SHARDS.len());
-        assert_round_trips(&report);
     }
 
     #[test]

@@ -315,7 +315,6 @@ impl Wire for Scenario {
         put_bool(w, self.tracing);
         put_bool(w, self.record_completions);
         put_bool(w, self.calendar_queue);
-        put_usize(w, self.sim_shards);
         w.put_u64(self.seed);
     }
 
@@ -339,7 +338,6 @@ impl Wire for Scenario {
             tracing: get_bool(r)?,
             record_completions: get_bool(r)?,
             calendar_queue: get_bool(r)?,
-            sim_shards: get_usize(r)?,
             seed: r.get_u64()?,
         })
     }
@@ -459,7 +457,6 @@ mod tests {
             .tracing(true)
             .record_completions(true)
             .calendar_queue(true)
-            .sim_shards(3)
             .seed(0xC0FFEE)
             .build()
     }

@@ -134,10 +134,12 @@ pub struct RunReport {
     pub pairs_per_node: Vec<u64>,
     /// Per-GPU completion timestamps (only when the scenario records them).
     pub completions: Option<ThroughputSeries>,
-    /// Shards the DES backend ran on (0 for backends without sharding).
+    /// Event-engine shards of the run: always 1 for the DES backend, whose
+    /// engine is sequential, and 0 for backends without an event engine.
+    /// Kept so reports and their readers keep one shape.
     pub sim_shards: u32,
-    /// Time windows the sharded DES entered (invariant under the shard
-    /// count; 0 for backends without sharding).
+    /// Time windows the DES entered (0 for backends without an event
+    /// engine).
     pub sim_windows: u64,
     /// True when fault handling touched this run — its work was re-dealt
     /// after a worker loss, or it finished below the cluster's quorum — so

@@ -1,9 +1,8 @@
 //! RL-A001/RL-A002: heap allocation on designated hot paths.
 //!
-//! The per-event handlers of the sharded DES and the steal loop run
-//! millions of times per simulated second; a `Vec::new`, `format!` or
-//! heap `.clone()` there turns into allocator traffic that serializes
-//! shards and wrecks the scaling the paper claims. `lint.toml`'s
+//! The per-event handlers of the DES and the steal loop run millions of
+//! times per simulated second; a `Vec::new`, `format!` or heap `.clone()`
+//! there turns into allocator traffic that dominates the run. `lint.toml`'s
 //! `[hot_path]` section names the root functions (`hot_fns`); every
 //! function reachable from a root through the call graph is hot.
 //!
@@ -11,7 +10,7 @@
 //! - **RL-A002** — an allocation in a transitive callee; the message
 //!   carries the BFS call chain from the root.
 //!
-//! Setup-time allocations (building per-shard state before the event
+//! Setup-time allocations (building per-node state before the event
 //! loop spins) are deliberate keepers: `lint:allow(RL-A001)` with a
 //! rationale, so the inventory stays visible.
 

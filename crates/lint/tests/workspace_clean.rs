@@ -43,9 +43,6 @@ fn workspace_suppressions_are_the_known_set() {
             // thread-joining `shutdown` by name; the real call is a
             // non-blocking teardown syscall.
             "RL-B002:crates/comm/src/socket.rs",
-            // A shard's cell lock is private to its owning worker for the
-            // window; modeled IO inside run_window blocks nobody else.
-            "RL-B002:crates/sim/src/shard.rs",
             // The job limiter's condvar waits release `available`
             // atomically — blocking here is the semaphore's purpose.
             "RL-B001:crates/steal/src/limiter.rs",

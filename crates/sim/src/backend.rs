@@ -12,30 +12,13 @@ use crate::cluster::{simulate, SimConfig, SimNodeConfig, SimResult};
 use crate::engine::Scheduler;
 
 /// The DES execution engine (stateless; share one instance freely).
-///
-/// By default the shard count comes from the scenario's `sim_shards` knob;
-/// [`SimBackend::sharded`] overrides it for every scenario the instance
-/// runs (handy for benches that sweep shard counts over a fixed scenario).
-/// Results are byte-identical either way — sharding changes wall-clock
-/// time only.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend {
-    /// When set, overrides `Scenario::sim_shards`.
-    shards: Option<usize>,
-}
+pub struct SimBackend;
 
 impl SimBackend {
-    /// A backend that honours each scenario's own `sim_shards` knob.
+    /// A simulator backend.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A backend that runs every scenario on `shards` shards, ignoring the
-    /// scenario's `sim_shards` knob.
-    pub fn sharded(shards: usize) -> Self {
-        Self {
-            shards: Some(shards),
-        }
+        Self
     }
 }
 
@@ -68,15 +51,13 @@ impl From<&Scenario> for SimConfig {
             } else {
                 Scheduler::SlabHeap
             },
-            shards: s.sim_shards,
-            shard_threads: 0,
             perf: PerfLog::disabled(),
         }
     }
 }
 
 /// Folds a [`SimResult`] into the unified report shape.
-fn unified(r: SimResult, sim_shards: u32) -> RunReport {
+fn unified(r: SimResult) -> RunReport {
     RunReport {
         backend: "sim",
         elapsed: r.makespan,
@@ -102,7 +83,7 @@ fn unified(r: SimResult, sim_shards: u32) -> RunReport {
         directory: r.directory,
         pairs_per_node: r.pairs_per_node,
         completions: r.completions,
-        sim_shards,
+        sim_shards: 1,
         sim_windows: r.windows,
         degraded: false,
     }
@@ -124,12 +105,8 @@ impl Backend for SimBackend {
     fn run_with_perf(&self, scenario: &Scenario, perf: &PerfLog) -> Result<RunReport, RocketError> {
         scenario.validate().map_err(RocketError::Config)?;
         let mut cfg = SimConfig::from(scenario);
-        if let Some(shards) = self.shards {
-            cfg.shards = shards;
-        }
         cfg.perf = perf.clone();
-        let shards = cfg.effective_shards() as u32;
-        Ok(unified(simulate(&cfg), shards))
+        Ok(unified(simulate(&cfg)))
     }
 }
 
@@ -177,6 +154,8 @@ mod tests {
         assert!(r.elapsed > 0.0);
         assert!(r.r_factor() >= 1.0);
         assert_eq!(r.pairs_per_node.len(), 2);
+        assert_eq!(r.sim_shards, 1);
+        assert!(r.sim_windows > 0);
     }
 
     #[test]
@@ -184,29 +163,6 @@ mod tests {
         let mut s = toy_scenario();
         s.nodes.clear();
         assert!(SimBackend::new().run(&s).is_err());
-    }
-
-    #[test]
-    fn sharded_backend_matches_sequential() {
-        let s = toy_scenario();
-        let seq = SimBackend::new().run(&s).unwrap();
-        assert_eq!(seq.sim_shards, 1);
-        assert!(seq.sim_windows > 0);
-        let mut par = SimBackend::sharded(2).run(&s).unwrap();
-        assert_eq!(par.sim_shards, 2);
-        // Everything but the shard count itself is byte-identical.
-        par.sim_shards = seq.sim_shards;
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
-    }
-
-    #[test]
-    fn scenario_shard_knob_flows_through() {
-        let mut s = toy_scenario();
-        s.sim_shards = 2;
-        let cfg = SimConfig::from(&s);
-        assert_eq!(cfg.shards, 2);
-        let r = SimBackend::new().run(&s).unwrap();
-        assert_eq!(r.sim_shards, 2);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! are explanatory for the real runtime.
 //!
 //! This module owns the *model*: configuration, per-node state tables, and
-//! the result fold. The event engine lives in `crate::shard` — a
-//! conservative time-window design that runs the same model on one shard
-//! (sequential) or many (parallel over the steal pool) with byte-identical
-//! results; see `SimConfig::shards`.
+//! the result fold. The event engine lives in `crate::shard`: one event
+//! queue in virtual-time order, with work stealing and storage submission
+//! on a fixed window schedule that is part of the model.
 //!
 //! # Dense-table state layout
 //!
@@ -110,16 +109,8 @@ pub struct SimConfig {
     /// Event-scheduling structure (results are identical either way; the
     /// calendar queue targets very large clusters).
     pub scheduler: Scheduler,
-    /// Event-engine shards for the conservative time-window parallel DES.
-    /// `1` runs sequentially; `k > 1` partitions nodes over `k` shards
-    /// advancing in lock-step windows on the steal pool. Results are
-    /// byte-identical for every value (clamped to the node count).
-    pub shards: usize,
-    /// Worker threads for sharded runs. `0` picks the machine's available
-    /// parallelism, capped at the shard count.
-    pub shard_threads: usize,
     /// Perf-sample sink. Disabled by default; when enabled the engine
-    /// buffers records per shard and folds them in after the result is
+    /// buffers records and folds them in after the result is
     /// final, so enabling it never changes [`SimResult`].
     pub perf: PerfLog,
 }
@@ -148,8 +139,6 @@ impl SimConfig {
             seed: 0x9E3779B97F4A7C15,
             record_completions: false,
             scheduler: Scheduler::default(),
-            shards: 1,
-            shard_threads: 0,
             perf: PerfLog::disabled(),
         }
     }
@@ -165,12 +154,6 @@ impl SimConfig {
             .iter()
             .flat_map(|n| n.gpus.iter().cloned())
             .collect()
-    }
-
-    /// The shard count actually used: at least 1, at most one shard per
-    /// node (empty shards would only pay barrier overhead).
-    pub fn effective_shards(&self) -> usize {
-        self.shards.max(1).min(self.nodes.len().max(1))
     }
 }
 
@@ -193,8 +176,7 @@ pub struct SimResult {
     pub net_bytes: u64,
     /// Work-steal count (blocks moved between nodes).
     pub steals: u64,
-    /// Lock-step time windows the event engine executed. Invariant under
-    /// the shard count: one shard counts the same windows many would run.
+    /// Time windows the event engine entered (see `crate::shard`).
     pub windows: u64,
     /// Busy seconds: GPU pre-processing.
     pub busy_preprocess: f64,
@@ -355,8 +337,8 @@ pub(crate) struct SimNode {
     pub(crate) pairs_done: u64,
     pub(crate) loads: u64,
     pub(crate) remote_fetches: u64,
-    /// Deterministic per-node stream for stage sampling. Per-node (not
-    /// global) so a node's draws are invariant under the shard count.
+    /// Deterministic per-node stream for stage sampling: a node's draws do
+    /// not depend on how other nodes' events interleave with its own.
     pub(crate) rng: Xoshiro256,
     /// Out of reachable work; candidate for a window-boundary steal.
     pub(crate) hungry: bool,
@@ -429,8 +411,8 @@ pub(crate) enum Ev {
     Net { to: usize, from: usize, msg: Msg },
 }
 
-/// Runs one simulation to completion on the configured scheduler and
-/// shard count (see `crate::shard` for the engine).
+/// Runs one simulation to completion on the configured scheduler (see
+/// `crate::shard` for the engine).
 pub fn simulate(config: &SimConfig) -> SimResult {
     match config.scheduler {
         Scheduler::SlabHeap => shard::run::<SlabEventQueue<Ev>>(config),

@@ -37,8 +37,8 @@ pub trait EventQueue<E> {
     /// Schedules `event` at `at` under an explicit tie-break priority:
     /// events at equal times pop in ascending `prio` order instead of
     /// insertion order. Callers that need an ordering independent of
-    /// *when* an event was inserted (the sharded engine derives `prio`
-    /// from stable simulation state) use this; `prio` values should be
+    /// *when* an event was inserted (the cluster engine derives `prio`
+    /// from per-node sequence numbers) use this; `prio` values should be
     /// unique per timestamp, since equal `(at, prio)` keys fall back to
     /// an insertion-dependent tie-break.
     fn schedule_keyed(&mut self, at: SimTime, prio: u64, event: E);

@@ -19,10 +19,9 @@
 //!   turns a [`cluster::SimConfig`] into a [`cluster::SimResult`] with the
 //!   run time, R factor, per-resource busy times, hop statistics, and I/O
 //!   usage that the paper's figures report,
-//! * `shard` — the conservative time-window parallel event engine:
-//!   nodes partition into `SimConfig::shards` shards advancing in
-//!   lock-step windows of the network-latency lookahead on the steal
-//!   pool, with results byte-identical to the sequential engine,
+//! * `shard` — the event engine: one queue in virtual-time order, with
+//!   work stealing at window boundaries and storage requests submitted in
+//!   `(time, prio)` order, a fixed schedule that is part of the model,
 //! * [`backend`] — [`SimBackend`], the [`rocket_core::Backend`]
 //!   implementation that runs a [`rocket_core::Scenario`] on the simulator
 //!   and reports a unified [`rocket_core::RunReport`],

@@ -1,53 +1,41 @@
-//! Conservative time-window parallel engine for the cluster simulator.
+//! The cluster simulator's event engine.
 //!
-//! The sequential simulator pops one global event queue. This module shards
-//! that queue: nodes are partitioned into `K` contiguous shards, each with
-//! its own [`EventQueue`] and its own slice of per-node state, and all
-//! shards advance in lock-step *time windows* on
-//! [`StealPool::run_rounds`].
+//! One event queue drives every node in virtual-time order. Virtual time
+//! is cut into fixed *windows* of width
+//! `min(net_latency, service + storage_latency)`, and the model fixes when
+//! nodes interact relative to them:
 //!
-//! # Why the window width is safe
+//! * **Work stealing** happens only at window boundaries, matched
+//!   deterministically over a snapshot of every node's deque
+//!   (`steal_match`). A hungry node therefore waits for the next boundary
+//!   that finds it hungry, not for the next event.
+//! * **Storage requests** are deferred and submitted to the shared storage
+//!   engine in `(time, prio)` order as soon as virtual time moves past
+//!   them (`flush_loads`), so same-timestamp requests from different nodes
+//!   queue in node order, not in handler order.
+//! * **Network messages** ([`Ev::Net`]) arrive `net_latency` after they
+//!   are sent.
 //!
-//! A shard may only execute events it can prove no other shard will still
-//! influence. Cross-shard influence travels exactly three ways, and each is
-//! barrier-mediated:
+//! The window count is reported as `SimResult::windows`; windows without
+//! a hungry node or a pending storage request run on a fast path that
+//! only counts them.
 //!
-//! * **Network messages** ([`Ev::Net`]) arrive at least `net_latency` after
-//!   they are sent; cross-shard sends park in the sender's outbox and merge
-//!   into the destination queue at the barrier.
-//! * **Storage completions** ([`Ev::IoDone`]) arrive at least
-//!   `service + storage_latency` after the request; requests defer to the
-//!   barrier, where they are submitted to the shared storage engine in
-//!   global `(time, prio)` order.
-//! * **Work stealing** happens only at barriers, matched deterministically
-//!   over a snapshot of every node's deque.
-//!
-//! With windows of width `min(net_latency, service + storage_latency)`,
-//! every cross-shard event produced inside window `W` lands at or after the
-//! barrier that ends `W` — before any shard enters `W+1`.
-//!
-//! # Why results are byte-identical to the sequential engine
+//! # Event order
 //!
 //! Every event carries priority `(node << 40) | seq` drawn from a monotonic
-//! per-node counter, and queues order by `(time, prio, slot)`. Priorities
-//! are globally unique, so the slot tie-break never fires and the relative
-//! order of any two events is a pure function of their keys — independent
-//! of which queue holds them or how events were interleaved at insertion.
-//! Per-node RNG streams (stage sampling), per-node resource engines, and
-//! per-node counters make each node's handler sequence invariant under the
-//! shard count; the shared storage engine and the steal RNG are driven only
-//! from barriers, in a schedule that the sequential engine replays exactly
-//! (it flushes storage requests whenever virtual time advances past them —
-//! the same sorted batches, concatenated). `tests/shard_equivalence.rs`
-//! fuzzes the claim over shard counts, thread counts, and both queue
-//! implementations.
+//! per-node counter, and the queue orders by `(time, prio, slot)`.
+//! Priorities are unique, so the slot tie-break never fires and the order
+//! of any two events is a pure function of their keys, not of when they
+//! were inserted; both event-queue implementations pop the same sequence.
+//! Stage times come from per-node RNG streams, and the steal RNG advances
+//! only on a boundary match. `tests/engine_golden.rs` pins the resulting
+//! output on both queues.
 
-use rocket_sanitize::Mutex;
 use std::collections::VecDeque;
 
 use rocket_cache::{CacheStats, Directory, DirectoryMsg, DirectoryStats, Lookup, Resolution};
 use rocket_stats::SeedSequence;
-use rocket_steal::{Block, Pair, StealPool, TaskDeque};
+use rocket_steal::{Block, Pair, TaskDeque};
 use rocket_trace::{PerfKind, PerfRecord, ThroughputSeries};
 
 use crate::cluster::{
@@ -64,13 +52,12 @@ const STALL_NS: u64 = 300_000_000_000;
 /// steal match will hand it a sub-leaf remnant. Remnant steals drag the
 /// victim's items to the thief for a handful of pairs, so they only pay
 /// off against genuine stragglers (a slow node grinding a tail while fast
-/// nodes idle); un-started whole-leaf backlog is always fair game. The
-/// gate is virtual-time based, so it is invariant under shard and thread
-/// counts. Tuned together with `RICH_BACKLOG_DIVISOR` on both bench
-/// anchors: on the 16-node anchor, 30 ms + the scaled rich threshold give
-/// makespan 0.849 s with 655 loads and 70 steals, vs 0.863 s / 651 loads
-/// for the greedy policy (steal anything, immediately) it replaced; the
-/// 1024-node anchor stays within 0.6% of greedy.
+/// nodes idle); un-started whole-leaf backlog is always fair game. Tuned
+/// together with `RICH_BACKLOG_DIVISOR` on both bench anchors: on the
+/// 16-node anchor, 30 ms + the scaled rich threshold give makespan
+/// 0.849 s with 655 loads and 70 steals, vs 0.863 s / 651 loads for the
+/// greedy policy (steal anything, immediately) it replaced; the 1024-node
+/// anchor stays within 0.6% of greedy.
 const REMNANT_STEAL_DELAY_NS: u64 = 30_000_000;
 
 /// A victim counts as "rich" — stealable without any hunger delay — only
@@ -87,12 +74,12 @@ const RICH_BACKLOG_DIVISOR: u64 = 10;
 /// node id sits above them.
 const PRIO_SEQ_BITS: u32 = 40;
 
-/// Read-only run context shared by every shard (and the barrier driver).
+/// Read-only run context.
 pub(crate) struct Ctx<'a> {
     cfg: &'a SimConfig,
     stages: StageDists,
     total_pairs: u64,
-    /// Lock-step window width in ns: the conservative lookahead.
+    /// Window width in ns (see the module docs).
     window_ns: u64,
     net_lat_ns: u64,
     storage_lat_ns: u64,
@@ -100,28 +87,21 @@ pub(crate) struct Ctx<'a> {
     load_service_ns: u64,
     /// First global GPU id of each node (Fig 14 completion sources).
     gpu_gid_base: Vec<usize>,
-    /// Owning shard of each global node.
-    node_shard: Vec<usize>,
 }
 
-/// One shard: a contiguous slice of nodes plus its own event queue.
+/// Every node of the cluster plus the event queue that drives them.
 pub(crate) struct ShardState<Q> {
-    id: usize,
-    /// Global index of `nodes[0]`.
-    base: usize,
     nodes: Vec<SimNode>,
     queue: Q,
-    /// Same-node wake tokens, drained after every event (global node ids).
+    /// Same-node wake tokens, drained after every event.
     wakes: VecDeque<(usize, Tok)>,
-    /// Cross-shard messages produced this window: `(at, prio, to, from, msg)`.
-    outbox: Vec<(SimTime, u64, usize, usize, Msg)>,
     /// Deferred storage requests: `(at, prio, node, item)`.
     load_reqs: Vec<(SimTime, u64, usize, u64)>,
     ev_counts: [u64; 11],
     completions: Option<ThroughputSeries>,
-    /// End (exclusive) of the window this shard may currently execute.
+    /// End (exclusive) of the current window.
     window_end: SimTime,
-    /// Nodes of this shard with `hungry` set (steal candidates).
+    /// Nodes with `hungry` set (steal candidates).
     hungry_count: usize,
     pairs_done: u64,
     pairs_started: u64,
@@ -129,39 +109,33 @@ pub(crate) struct ShardState<Q> {
     /// a dense side array: `next_prio` runs on every schedule, and two hot
     /// cache lines beat a scattered read into each node's struct.
     seqs: Vec<u64>,
-    /// Deque blocks plus open row cursors across this shard's nodes. Zero
-    /// means nothing here is stealable, letting `steal_match` skip its
-    /// whole-cluster snapshot — which is most boundaries late in a run,
-    /// when all remaining work is in flight and hungry nodes can only wait.
+    /// Deque blocks plus open row cursors across all nodes. Zero means
+    /// nothing is stealable, letting `steal_match` skip its whole-cluster
+    /// snapshot — which is most boundaries late in a run, when all
+    /// remaining work is in flight and hungry nodes can only wait.
     work_blocks: usize,
     /// Perf-sample buffer (`Some` iff `cfg.perf` is enabled). Records stay
-    /// shard-local during the run and fold into `cfg.perf` in `finish`,
-    /// after the result is final — so instrumentation can never perturb
-    /// `SimResult`, and the fold order (shard order, then driver) is
-    /// byte-stable across thread counts.
+    /// here during the run and fold into `cfg.perf` in `finish`, after the
+    /// result is final — so instrumentation can never perturb `SimResult`.
     perf: Option<Vec<PerfRecord>>,
 }
 
-/// Barrier-side state: everything shards must never touch concurrently.
+/// Boundary-side state: the shared storage engine and the steal matcher.
 struct Driver {
     storage: Engine,
     steal_rng: rocket_stats::Xoshiro256,
     steals: u64,
     windows: u64,
-    /// Scratch: merged storage requests, sorted by `(at, prio)`.
-    loads: Vec<(SimTime, u64, usize, u64)>,
-    /// Scratch: merged cross-shard messages, sorted by `(at, prio)`.
-    msgs: Vec<(SimTime, u64, usize, usize, Msg)>,
-    /// Scratch: deque depth per global node for steal matching.
+    /// Scratch: deque depth per node for steal matching.
     lens: Vec<usize>,
-    /// Scratch: pending pairs per global node for steal matching.
+    /// Scratch: pending pairs per node for steal matching.
     pair_lens: Vec<u64>,
-    /// Perf samples produced at barriers (storage reads, boundary steals).
+    /// Perf samples produced at boundaries (storage reads, steals).
     perf: Option<Vec<PerfRecord>>,
 }
 
 impl Driver {
-    /// Appends a barrier-side perf record when instrumentation is on.
+    /// Appends a boundary-side perf record when instrumentation is on.
     #[inline]
     fn perf(&mut self, t_ns: SimTime, kind: PerfKind, node: usize, value: u64) {
         if let Some(buf) = &mut self.perf {
@@ -175,70 +149,40 @@ impl Driver {
     }
 }
 
-/// Runs one simulation to completion on `K = cfg.effective_shards()`
-/// shards (sequentially for `K = 1`, on the steal pool otherwise).
+/// Runs one simulation to completion.
 pub(crate) fn run<Q>(cfg: &SimConfig) -> SimResult
 where
-    Q: EventQueue<Ev> + Default + Send,
+    Q: EventQueue<Ev> + Default,
 {
-    let k = cfg.effective_shards();
-    let ctx = build_ctx(cfg, k);
-    let mut shards = build_shards::<Q>(cfg, &ctx, k);
+    let ctx = build_ctx(cfg);
+    let mut shard = build_shard::<Q>(cfg, &ctx);
     let mut drv = Driver {
         storage: Engine::new(),
         steal_rng: SeedSequence::new(cfg.seed).rng("steal"),
         steals: 0,
         windows: 0,
-        loads: Vec::new(),
-        msgs: Vec::new(),
         lens: Vec::new(),
         pair_lens: Vec::new(),
         perf: cfg.perf.is_enabled().then(Vec::new),
     };
     if ctx.total_pairs > 0 {
-        if k == 1 {
-            run_sequential(&ctx, &mut shards[0], &mut drv);
-        } else {
-            shards = run_windowed(&ctx, shards, &mut drv);
-        }
+        run_sequential(&ctx, &mut shard, &mut drv);
     }
-    finish(&ctx, shards, drv)
+    finish(&ctx, shard, drv)
 }
 
-/// Contiguous node ranges: the first `p % k` shards get one extra node.
-fn shard_ranges(p: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-    let (div, rem) = (p / k, p % k);
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for s in 0..k {
-        let len = div + usize::from(s < rem);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
+fn build_ctx(cfg: &SimConfig) -> Ctx<'_> {
     assert!(!cfg.nodes.is_empty(), "cluster needs nodes");
     let n = cfg.workload.items;
-    let p = cfg.nodes.len();
-    let mut gpu_gid_base = Vec::with_capacity(p);
+    let mut gpu_gid_base = Vec::with_capacity(cfg.nodes.len());
     let mut base = 0usize;
     for nc in &cfg.nodes {
         gpu_gid_base.push(base);
         base += nc.gpus.len();
     }
-    let mut node_shard = vec![0usize; p];
-    for (s, range) in shard_ranges(p, k).into_iter().enumerate() {
-        for g in range {
-            node_shard[g] = s;
-        }
-    }
     let net_lat_ns = secs_to_ns(cfg.net_latency);
     let storage_lat_ns = secs_to_ns(cfg.storage_latency);
     let load_service_ns = secs_to_ns(cfg.workload.file_bytes as f64 / cfg.storage_bandwidth);
-    // The safe lookahead: both cross-shard channels (network messages and
-    // barrier-routed storage completions) must outrun one full window.
     let window_ns = net_lat_ns
         .max(1)
         .min((load_service_ns + storage_lat_ns).max(1));
@@ -256,106 +200,95 @@ fn build_ctx(cfg: &SimConfig, k: usize) -> Ctx<'_> {
         storage_lat_ns,
         load_service_ns,
         gpu_gid_base,
-        node_shard,
     }
 }
 
-fn build_shards<Q>(cfg: &SimConfig, ctx: &Ctx, k: usize) -> Vec<ShardState<Q>>
+fn build_shard<Q>(cfg: &SimConfig, ctx: &Ctx) -> ShardState<Q>
 where
     Q: EventQueue<Ev> + Default,
 {
     let n = cfg.workload.items;
     let p = cfg.nodes.len();
     let seeds = SeedSequence::new(cfg.seed);
-    let mut shards = Vec::with_capacity(k);
-    for (sid, range) in shard_ranges(p, k).into_iter().enumerate() {
-        let base = range.start;
-        let nodes: Vec<SimNode> = range
-            .map(|rank| {
-                let nc = &cfg.nodes[rank];
-                // Slots beyond the item count never get used: clamp to keep
-                // huge Fig 9 sweeps cheap without changing behaviour.
-                let dev_slots = nc.device_slots.min(n as usize).max(2);
-                let host_slots = nc.host_slots.min(n as usize).max(2);
-                SimNode {
-                    deque: TaskDeque::new(),
-                    cursor: None,
-                    gpus: nc
-                        .gpus
-                        .iter()
-                        .map(|profile| SimGpu {
-                            rates: GpuRates::from(profile),
-                            cache: rocket_cache::SlotCache::with_item_space(dev_slots, n as usize),
-                            compute: Engine::new(),
-                            h2d: Engine::new(),
-                            d2h: Engine::new(),
-                            in_flight: 0,
-                            pre_busy_ns: 0,
-                            cmp_busy_ns: 0,
-                            fills: vec![DevFill::default(); n as usize],
-                        })
-                        .collect(),
-                    host_cache: rocket_cache::SlotCache::with_item_space(host_slots, n as usize),
-                    cpu: Pool::new(cfg.cpu_threads),
-                    nic: Engine::new(),
-                    directory: Directory::new(rank, p, cfg.hops),
-                    jobs: Vec::new(),
-                    free_jobs: Vec::new(),
-                    jobs_in_flight: 0,
-                    host_fill: vec![None; n as usize],
-                    pairs_done: 0,
-                    loads: 0,
-                    remote_fetches: 0,
-                    rng: seeds.rng_indexed("node", rank as u64),
-                    hungry: false,
-                    hungry_since: 0,
-                    io_bytes: 0,
-                    net_bytes: 0,
-                    makespan_ns: 0,
-                }
-            })
-            .collect();
-        let seqs = vec![0; nodes.len()];
-        let mut shard = ShardState {
-            id: sid,
-            base,
-            nodes,
-            queue: Q::default(),
-            wakes: VecDeque::new(),
-            outbox: Vec::new(),
-            load_reqs: Vec::new(),
-            ev_counts: [0; 11],
-            completions: cfg.record_completions.then(ThroughputSeries::new),
-            window_end: 0,
-            hungry_count: 0,
-            pairs_done: 0,
-            pairs_started: 0,
-            seqs,
-            work_blocks: 0,
-            perf: cfg.perf.is_enabled().then(Vec::new),
-        };
-        if ctx.total_pairs > 0 {
-            // The master node spawns the root task (§4.2); every node
-            // starts with a keyed Pull at t = 0.
-            if base == 0 {
-                shard.nodes[0].deque.push(Block::root(n));
-                shard.work_blocks += 1;
+    let nodes: Vec<SimNode> = cfg
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(rank, nc)| {
+            // Slots beyond the item count never get used: clamp to keep
+            // huge Fig 9 sweeps cheap without changing behaviour.
+            let dev_slots = nc.device_slots.min(n as usize).max(2);
+            let host_slots = nc.host_slots.min(n as usize).max(2);
+            SimNode {
+                deque: TaskDeque::new(),
+                cursor: None,
+                gpus: nc
+                    .gpus
+                    .iter()
+                    .map(|profile| SimGpu {
+                        rates: GpuRates::from(profile),
+                        cache: rocket_cache::SlotCache::with_item_space(dev_slots, n as usize),
+                        compute: Engine::new(),
+                        h2d: Engine::new(),
+                        d2h: Engine::new(),
+                        in_flight: 0,
+                        pre_busy_ns: 0,
+                        cmp_busy_ns: 0,
+                        fills: vec![DevFill::default(); n as usize],
+                    })
+                    .collect(),
+                host_cache: rocket_cache::SlotCache::with_item_space(host_slots, n as usize),
+                cpu: Pool::new(cfg.cpu_threads),
+                nic: Engine::new(),
+                directory: Directory::new(rank, p, cfg.hops),
+                jobs: Vec::new(),
+                free_jobs: Vec::new(),
+                jobs_in_flight: 0,
+                host_fill: vec![None; n as usize],
+                pairs_done: 0,
+                loads: 0,
+                remote_fetches: 0,
+                rng: seeds.rng_indexed("node", rank as u64),
+                hungry: false,
+                hungry_since: 0,
+                io_bytes: 0,
+                net_bytes: 0,
+                makespan_ns: 0,
             }
-            for g in shard.base..shard.base + shard.nodes.len() {
-                let prio = shard.next_prio(g);
-                shard.queue.schedule_keyed(0, prio, Ev::Pull { node: g });
-            }
+        })
+        .collect();
+    let mut shard = ShardState {
+        nodes,
+        queue: Q::default(),
+        wakes: VecDeque::new(),
+        load_reqs: Vec::new(),
+        ev_counts: [0; 11],
+        completions: cfg.record_completions.then(ThroughputSeries::new),
+        window_end: 0,
+        hungry_count: 0,
+        pairs_done: 0,
+        pairs_started: 0,
+        seqs: vec![0; p],
+        work_blocks: 0,
+        perf: cfg.perf.is_enabled().then(Vec::new),
+    };
+    if ctx.total_pairs > 0 {
+        // The master node spawns the root task (§4.2); every node
+        // starts with a keyed Pull at t = 0.
+        shard.nodes[0].deque.push(Block::root(n));
+        shard.work_blocks += 1;
+        for g in 0..p {
+            let prio = shard.next_prio(g);
+            shard.queue.schedule_keyed(0, prio, Ev::Pull { node: g });
         }
-        shards.push(shard);
     }
-    shards
+    shard
 }
 
-// ---- drivers --------------------------------------------------------------
+// ---- event loop -----------------------------------------------------------
 
-/// `K = 1`: a plain sequential event loop that still replays the exact
-/// barrier schedule of the windowed driver (same storage submission order,
-/// same boundary steals, same window count) so results stay byte-identical.
+/// The event loop. Between window boundaries it pops and handles events;
+/// at a boundary that finds a hungry node it runs the steal match.
 fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: &mut Driver) {
     let win = ctx.window_ns;
     let mut last = (0u64, 0u64); // (pairs_done, virtual ns)
@@ -363,19 +296,13 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
         if shard.pairs_done != last.0 {
             last = (shard.pairs_done, shard.queue.now());
         } else if shard.queue.now() > last.1 + STALL_NS {
-            stall_panic(
-                ctx,
-                &mut [&mut *shard],
-                drv,
-                "no progress for 5min of virtual time",
-            );
+            stall_panic(ctx, shard, drv, "no progress for 5min of virtual time");
         }
         if shard.hungry_count == 0 && shard.load_reqs.is_empty() {
-            // Fast path: nothing is waiting on a barrier, so pop without
-            // peeking; only track which windows we enter so the count
-            // matches the windowed driver.
+            // Fast path: no boundary has work to do, so pop without
+            // peeking and only count the windows entered.
             let Some((t, ev)) = shard.queue.pop() else {
-                stall_panic(ctx, &mut [&mut *shard], drv, "event queue drained");
+                stall_panic(ctx, shard, drv, "event queue drained");
             };
             if t >= shard.window_end {
                 drv.windows += 1;
@@ -387,26 +314,25 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
             shard.validate();
             continue;
         }
-        // Bounded mode: deferred storage requests flush as soon as virtual
-        // time moves past them — the same per-timestamp batches, in the
-        // same `(at, prio)` order, that window barriers would concatenate.
+        // Deferred storage requests flush as soon as virtual time moves
+        // past them, one sorted batch per timestamp.
         let t = shard.queue.peek_time();
         if let Some(&(req_t, ..)) = shard.load_reqs.first() {
             if t.is_none_or(|t| t > req_t) {
-                flush_loads(ctx, &mut [&mut *shard], drv);
+                flush_loads(ctx, shard, drv);
                 continue; // an IoDone may now be the earliest event
             }
         }
         let Some(t) = t else {
-            stall_panic(ctx, &mut [&mut *shard], drv, "event queue drained");
+            stall_panic(ctx, shard, drv, "event queue drained");
         };
         if t >= shard.window_end {
-            // Window boundary: run the barrier's steal match, then enter
-            // the next non-empty window.
+            // Window boundary: run the steal match, then enter the next
+            // non-empty window.
             let boundary = shard.window_end;
-            steal_match(ctx, &mut [&mut *shard], drv, boundary);
+            steal_match(ctx, shard, drv, boundary);
             drv.windows += 1;
-            record_gauges(&mut [&mut *shard], boundary);
+            record_gauges(shard, boundary);
             let t2 = shard.queue.peek_time().unwrap_or(t);
             shard.window_end = (t2 / win + 1) * win;
             continue;
@@ -419,206 +345,79 @@ fn run_sequential<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: 
     }
 }
 
-/// `K > 1`: lock-step windows on [`StealPool::run_rounds`]. Each round runs
-/// every shard's current window in parallel; `between` holds all shard
-/// locks and plays the barrier (deliver, flush, steal, advance).
-fn run_windowed<Q>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: &mut Driver) -> Vec<ShardState<Q>>
-where
-    Q: EventQueue<Ev> + Send,
-{
-    let k = shards.len();
-    let threads = if ctx.cfg.shard_threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        ctx.cfg.shard_threads
-    }
-    .min(k)
-    .max(1);
-    let cells: Vec<Mutex<ShardState<Q>>> = shards
-        .into_iter()
-        .map(|s| Mutex::named("cells", s))
-        .collect();
-    // First window: fast-forward to the earliest event (t = 0 here, since
-    // every node schedules a Pull at zero).
-    {
-        let mut min_t: Option<SimTime> = None;
-        for c in &cells {
-            if let Some(t) = c.lock().queue.peek_time() {
-                min_t = Some(min_t.map_or(t, |m| m.min(t)));
-            }
-        }
-        let w_end = (min_t.unwrap_or(0) / ctx.window_ns + 1) * ctx.window_ns;
-        for c in &cells {
-            c.lock().window_end = w_end;
-        }
-    }
-    let mut last = (0u64, 0u64); // (pairs_done, virtual ns)
-    StealPool::run_rounds(
-        k,
-        threads,
-        |i| {
-            // lint:allow(blocking) — the cell lock is per-shard and taken
-            // only by the worker that owns the shard this window, so the
-            // modeled IO inside run_window blocks nobody else.
-            // lint:allow(lock-order) — the static edges out of `cells`
-            // here are name-merge artifacts (`handle` resolves to every
-            // in-scope fn of that name); the runtime witness records no
-            // nesting under a cell lock, and RL-X001 confirms the gap.
-            cells[i].lock().run_window(ctx);
-        },
-        || {
-            let mut guards: Vec<_> = cells.iter().map(|c| c.lock()).collect();
-            let mut sh: Vec<&mut ShardState<Q>> = guards.iter_mut().map(|g| &mut **g).collect();
-            let boundary = sh[0].window_end;
-            barrier_step(ctx, &mut sh, drv, boundary);
-            let done: u64 = sh.iter().map(|s| s.pairs_done).sum();
-            if done >= ctx.total_pairs {
-                return false;
-            }
-            let min_t = sh.iter_mut().filter_map(|s| s.queue.peek_time()).min();
-            let Some(t) = min_t else {
-                stall_panic(ctx, &mut sh, drv, "event queue drained");
-            };
-            if done != last.0 {
-                last = (done, t);
-            } else if t > last.1 + STALL_NS {
-                stall_panic(ctx, &mut sh, drv, "no progress for 5min of virtual time");
-            }
-            let w_end = (t / ctx.window_ns + 1) * ctx.window_ns;
-            for s in sh {
-                s.window_end = w_end;
-            }
-            true
-        },
-    );
-    cells.into_iter().map(Mutex::into_inner).collect()
-}
-
-/// The window barrier, identical for the sequential replay and the
-/// parallel driver: merge cross-shard messages, submit deferred storage
-/// requests in global order, match steals, count the window.
-fn barrier_step<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &mut Driver,
-    boundary: SimTime,
-) {
-    deliver_messages(ctx, shards, drv);
-    flush_loads(ctx, shards, drv);
-    steal_match(ctx, shards, drv, boundary);
-    drv.windows += 1;
-    record_gauges(shards, boundary);
-}
-
-/// Per-shard engine gauges, sampled at executed barriers: queue depth and
-/// cumulative events handled (diff consecutive `Window` records for a
-/// per-window event cost). Barriers that the sequential fast path skips
-/// (no hungry nodes, no pending loads) record nothing, so gauge *timing*
-/// is a property of the engine configuration — unlike node-level records,
-/// which are identical for every shard count.
-fn record_gauges<Q: EventQueue<Ev>>(shards: &mut [&mut ShardState<Q>], boundary: SimTime) {
-    for s in shards.iter_mut() {
-        if s.perf.is_some() {
-            let sid = s.id;
-            let depth = s.queue.len() as u64;
-            let events: u64 = s.ev_counts.iter().sum();
-            s.perf(boundary, PerfKind::QueueDepth, sid, depth);
-            s.perf(boundary, PerfKind::Window, sid, events);
-        }
+/// Engine gauges, sampled at boundaries that run the steal match: queue
+/// depth and cumulative events handled (diff consecutive `Window` records
+/// for a per-window event cost). Both carry node 0. Boundaries on the fast
+/// path (no hungry nodes, no pending loads) record nothing.
+fn record_gauges<Q: EventQueue<Ev>>(shard: &mut ShardState<Q>, boundary: SimTime) {
+    if shard.perf.is_some() {
+        let depth = shard.queue.len() as u64;
+        let events: u64 = shard.ev_counts.iter().sum();
+        shard.perf(boundary, PerfKind::QueueDepth, 0, depth);
+        shard.perf(boundary, PerfKind::Window, 0, events);
     }
 }
 
-fn deliver_messages<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &mut Driver,
-) {
-    let mut msgs = std::mem::take(&mut drv.msgs);
-    for s in shards.iter_mut() {
-        msgs.append(&mut s.outbox);
+/// Submits every deferred storage request to the shared storage engine in
+/// `(at, prio)` order and schedules the completions.
+fn flush_loads<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &mut ShardState<Q>, drv: &mut Driver) {
+    let mut loads = std::mem::take(&mut shard.load_reqs);
+    loads.sort_unstable_by_key(|&(at, p, ..)| (at, p));
+    for &(at, p, node, item) in &loads {
+        let done = drv.storage.submit(at, ctx.load_service_ns) + ctx.storage_lat_ns;
+        // Read latency as the node observes it: queueing at the shared
+        // storage engine plus service plus delivery latency.
+        drv.perf(done, PerfKind::Read, node, done - at);
+        shard
+            .queue
+            .schedule_keyed(done, p, Ev::IoDone { node, item });
     }
-    if !msgs.is_empty() {
-        // Priorities are globally unique, so the sort fully determines
-        // delivery (and therefore payload-slot assignment) order.
-        msgs.sort_unstable_by_key(|&(at, p, ..)| (at, p));
-        for (at, p, to, from, msg) in msgs.drain(..) {
-            shards[ctx.node_shard[to]]
-                .queue
-                .schedule_keyed(at, p, Ev::Net { to, from, msg });
-        }
-    }
-    drv.msgs = msgs;
-}
-
-fn flush_loads<Q: EventQueue<Ev>>(ctx: &Ctx, shards: &mut [&mut ShardState<Q>], drv: &mut Driver) {
-    let mut loads = std::mem::take(&mut drv.loads);
-    for s in shards.iter_mut() {
-        loads.append(&mut s.load_reqs);
-    }
-    if !loads.is_empty() {
-        loads.sort_unstable_by_key(|&(at, p, ..)| (at, p));
-        for &(at, p, node, item) in &loads {
-            let done = drv.storage.submit(at, ctx.load_service_ns) + ctx.storage_lat_ns;
-            // Read latency as the node observes it: queueing at the shared
-            // storage engine plus service plus delivery latency.
-            drv.perf(done, PerfKind::Read, node, done - at);
-            shards[ctx.node_shard[node]]
-                .queue
-                .schedule_keyed(done, p, Ev::IoDone { node, item });
-        }
-        loads.clear();
-    }
-    drv.loads = loads;
+    loads.clear();
+    shard.load_reqs = loads;
 }
 
 /// Matches hungry nodes (out of local work) with victims over a snapshot
-/// of every deque's depth, in ascending global node order. The thief's
-/// fresh block is not re-offered within the same boundary; a robbed
-/// victim's depth drops immediately. The RNG advances only on a match, so
+/// of every deque's depth, in ascending node order. The thief's fresh
+/// block is not re-offered within the same boundary; a robbed victim's
+/// depth drops immediately. The RNG advances only on a match, so
 /// boundaries without steal pressure cost no randomness.
 fn steal_match<Q: EventQueue<Ev>>(
     ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
+    shard: &mut ShardState<Q>,
     drv: &mut Driver,
     boundary: SimTime,
 ) {
-    if shards.iter().map(|s| s.hungry_count).sum::<usize>() == 0 {
+    if shard.hungry_count == 0 {
         return;
     }
     // No block anywhere means no possible victim: the full scan below
     // would normalize nothing, see every deque empty, and match nobody.
-    // Skipping it is therefore result-identical (and state-based, so
-    // shard-count-invariant) — and it is the common case late in a run,
-    // when every remaining pair is in flight and thieves just wait.
-    if shards.iter().map(|s| s.work_blocks).sum::<usize>() == 0 {
+    // Skipping it is therefore result-identical — and it is the common
+    // case late in a run, when every remaining pair is in flight and
+    // thieves just wait.
+    if shard.work_blocks == 0 {
         return;
     }
     // Fold every open row cursor back into its deque before snapshotting,
     // so remnants are visible (and stealable) exactly as if each pair had
-    // gone through the deque. Hunger is shard-count-invariant, so every K
-    // normalizes at the same boundaries and deque states stay identical.
-    for s in shards.iter_mut() {
-        s.normalize_cursors();
-    }
+    // gone through the deque.
+    shard.normalize_cursors();
     drv.lens.clear();
     drv.pair_lens.clear();
-    for s in shards.iter() {
-        for n in &s.nodes {
-            drv.lens.push(n.deque.len());
-            drv.pair_lens.push(n.deque.pending_pairs());
-        }
+    for n in &shard.nodes {
+        drv.lens.push(n.deque.len());
+        drv.pair_lens.push(n.deque.pending_pairs());
     }
     debug_assert_eq!(
         drv.lens.iter().sum::<usize>(),
-        shards.iter().map(|s| s.work_blocks).sum::<usize>(),
+        shard.work_blocks,
         "work_blocks counter drifted from actual deque contents"
     );
     let leaf = ctx.cfg.leaf_pairs;
     let rich_pairs =
         leaf * (ctx.total_pairs / (drv.lens.len() as u64 * RICH_BACKLOG_DIVISOR * leaf)).max(1);
     for g in 0..drv.lens.len() {
-        let sg = ctx.node_shard[g];
-        let node = &shards[sg].nodes[g - shards[sg].base];
+        let node = &shard.nodes[g];
         if !node.hungry {
             continue;
         }
@@ -662,106 +461,92 @@ fn steal_match<Q: EventQueue<Ev>>(
             .nth(pick)
             .expect("pick < count")
             .0;
-        let sv = ctx.node_shard[victim];
-        let block = shards[sv].nodes[victim - shards[sv].base]
+        let block = shard.nodes[victim]
             .deque
             .steal()
             .expect("victim deque non-empty");
-        shards[sv].work_blocks -= 1;
         drv.lens[victim] -= 1;
         drv.pair_lens[victim] -= block.count();
         drv.steals += 1;
         // Thief's node id, pairs moved.
         drv.perf(boundary, PerfKind::Steal, g, block.count());
-        let s = &mut shards[sg];
-        s.nodes[g - s.base].deque.push(block);
-        s.work_blocks += 1;
-        s.set_hungry(g, false);
-        let p = s.next_prio(g);
-        s.queue.schedule_keyed(boundary, p, Ev::Pull { node: g });
+        // The block only changes owner: `work_blocks` is unchanged.
+        shard.nodes[g].deque.push(block);
+        shard.set_hungry(g, false);
+        let p = shard.next_prio(g);
+        shard
+            .queue
+            .schedule_keyed(boundary, p, Ev::Pull { node: g });
     }
 }
 
-fn stall_panic<Q: EventQueue<Ev>>(
-    ctx: &Ctx,
-    shards: &mut [&mut ShardState<Q>],
-    drv: &Driver,
-    why: &str,
-) -> ! {
+fn stall_panic<Q: EventQueue<Ev>>(ctx: &Ctx, shard: &ShardState<Q>, drv: &Driver, why: &str) -> ! {
     let mut diag = String::new();
-    let mut ev_counts = [0u64; 11];
-    let mut queue_len = 0usize;
-    let (mut done, mut started) = (0u64, 0u64);
-    for s in shards.iter() {
-        for (i, c) in s.ev_counts.iter().enumerate() {
-            ev_counts[i] += c;
-        }
-        queue_len += s.queue.len();
-        done += s.pairs_done;
-        started += s.pairs_started;
-        for (li, node) in s.nodes.iter().enumerate() {
-            let i = s.base + li;
-            let dev_fills: usize = node
-                .gpus
-                .iter()
-                .map(|g| g.fills.iter().filter(|f| f.dev_slot.is_some()).count())
-                .sum();
-            let h2d_leases: usize = node
-                .gpus
-                .iter()
-                .map(|g| g.fills.iter().filter(|f| f.h2d_lease.is_some()).count())
-                .sum();
+    for (i, node) in shard.nodes.iter().enumerate() {
+        let dev_fills: usize = node
+            .gpus
+            .iter()
+            .map(|g| g.fills.iter().filter(|f| f.dev_slot.is_some()).count())
+            .sum();
+        let h2d_leases: usize = node
+            .gpus
+            .iter()
+            .map(|g| g.fills.iter().filter(|f| f.h2d_lease.is_some()).count())
+            .sum();
+        diag.push_str(&format!(
+            "\n node {i}: jobs={} inflight={} deque={} ({} pairs) hungry={} hostfills={} \
+             devfills={} h2d_leases={} host(cap_waiters={} evictable={} occ={}/{})",
+            node.live_jobs(),
+            node.jobs_in_flight,
+            node.deque.len(),
+            node.deque.pending_pairs(),
+            node.hungry,
+            node.host_fill.iter().flatten().count(),
+            dev_fills,
+            h2d_leases,
+            node.host_cache.parked_capacity_waiters(),
+            node.host_cache.evictable(),
+            node.host_cache.occupied(),
+            node.host_cache.capacity(),
+        ));
+        for (g, gpu) in node.gpus.iter().enumerate() {
             diag.push_str(&format!(
-                "\n node {i}: jobs={} inflight={} deque={} ({} pairs) hungry={} hostfills={} \
-                 devfills={} h2d_leases={} host(cap_waiters={} evictable={} occ={}/{})",
-                node.live_jobs(),
-                node.jobs_in_flight,
-                node.deque.len(),
-                node.deque.pending_pairs(),
-                node.hungry,
-                node.host_fill.iter().flatten().count(),
-                dev_fills,
-                h2d_leases,
-                node.host_cache.parked_capacity_waiters(),
-                node.host_cache.evictable(),
-                node.host_cache.occupied(),
-                node.host_cache.capacity(),
+                "\n   gpu {g}: inflight={} cap_waiters={} evictable={} occ={}/{} resident={:?}",
+                gpu.in_flight,
+                gpu.cache.parked_capacity_waiters(),
+                gpu.cache.evictable(),
+                gpu.cache.occupied(),
+                gpu.cache.capacity(),
+                gpu.cache.resident_items(),
             ));
-            for (g, gpu) in node.gpus.iter().enumerate() {
+        }
+        if i == 0 {
+            for (id, j) in node.jobs.iter().enumerate() {
+                let Some(j) = j else { continue };
                 diag.push_str(&format!(
-                    "\n   gpu {g}: inflight={} cap_waiters={} evictable={} occ={}/{} resident={:?}",
-                    gpu.in_flight,
-                    gpu.cache.parked_capacity_waiters(),
-                    gpu.cache.evictable(),
-                    gpu.cache.occupied(),
-                    gpu.cache.capacity(),
-                    gpu.cache.resident_items(),
+                    "\n   job {id}: pair=({},{}) left={:?} right={:?} stalled={:?} comparing={}",
+                    j.pair.left, j.pair.right, j.left, j.right, j.stalled, j.comparing
                 ));
-            }
-            if i == 0 {
-                for (id, j) in node.jobs.iter().enumerate() {
-                    let Some(j) = j else { continue };
-                    diag.push_str(&format!(
-                        "\n   job {id}: pair=({},{}) left={:?} right={:?} stalled={:?} comparing={}",
-                        j.pair.left, j.pair.right, j.left, j.right, j.stalled, j.comparing
-                    ));
-                }
             }
         }
     }
     panic!(
-        "simulation stalled ({why}): {done}/{} pairs done (started {started}){diag}\n              event counts [pull,io,parse,staging,pre,writeback,fillcopy,cmp,res,post,net]: {ev_counts:?}\n              windows {} queue len {queue_len}",
-        ctx.total_pairs, drv.windows,
+        "simulation stalled ({why}): {}/{} pairs done (started {}){diag}\n              event counts [pull,io,parse,staging,pre,writeback,fillcopy,cmp,res,post,net]: {:?}\n              windows {} queue len {}",
+        shard.pairs_done,
+        ctx.total_pairs,
+        shard.pairs_started,
+        shard.ev_counts,
+        drv.windows,
+        shard.queue.len(),
     );
 }
 
-/// Folds per-node state in global node order into a [`SimResult`] — the
-/// fold never depends on the shard count, only on the node order.
-fn finish<Q: EventQueue<Ev>>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: Driver) -> SimResult {
+/// Folds per-node state in node order into a [`SimResult`].
+fn finish<Q: EventQueue<Ev>>(ctx: &Ctx, shard: ShardState<Q>, drv: Driver) -> SimResult {
     let mut r = SimResult {
         makespan: 0.0,
         items: ctx.cfg.workload.items,
-        pairs: 0,
+        pairs: shard.pairs_done,
         loads: 0,
         remote_fetches: 0,
         io_bytes: 0,
@@ -777,79 +562,49 @@ fn finish<Q: EventQueue<Ev>>(ctx: &Ctx, shards: Vec<ShardState<Q>>, drv: Driver)
         device_cache: CacheStats::default(),
         host_cache: CacheStats::default(),
         directory: DirectoryStats::default(),
-        pairs_per_node: Vec::with_capacity(ctx.node_shard.len()),
-        completions: ctx.cfg.record_completions.then(ThroughputSeries::new),
+        pairs_per_node: Vec::with_capacity(shard.nodes.len()),
+        completions: shard.completions,
     };
     let mut makespan_ns: SimTime = 0;
-    let mut perf_records = ctx.cfg.perf.is_enabled().then(Vec::new);
-    for mut shard in shards {
-        // Shards are ordered by `base`, so this walks global node order —
-        // and folds perf buffers in the same order, making the record
-        // sequence byte-stable across thread counts at a fixed shard count.
-        if let (Some(acc), Some(buf)) = (&mut perf_records, &mut shard.perf) {
-            acc.append(buf);
-        }
-        if let (Some(acc), Some(s)) = (&mut r.completions, &shard.completions) {
-            acc.merge(s);
-        }
-        r.pairs += shard.pairs_done;
-        for node in &shard.nodes {
-            makespan_ns = makespan_ns.max(node.makespan_ns);
-            r.loads += node.loads;
-            r.remote_fetches += node.remote_fetches;
-            r.io_bytes += node.io_bytes;
-            r.net_bytes += node.net_bytes;
-            r.pairs_per_node.push(node.pairs_done);
-            r.busy_cpu += ns_to_secs(node.cpu.busy_ns());
-            r.host_cache.merge(&node.host_cache.stats());
-            r.directory.merge(node.directory.stats());
-            for gpu in &node.gpus {
-                r.busy_preprocess += ns_to_secs(gpu.pre_busy_ns);
-                r.busy_compare += ns_to_secs(gpu.cmp_busy_ns);
-                r.busy_h2d += ns_to_secs(gpu.h2d.busy_ns());
-                r.busy_d2h += ns_to_secs(gpu.d2h.busy_ns());
-                r.device_cache.merge(&gpu.cache.stats());
-            }
+    for node in &shard.nodes {
+        makespan_ns = makespan_ns.max(node.makespan_ns);
+        r.loads += node.loads;
+        r.remote_fetches += node.remote_fetches;
+        r.io_bytes += node.io_bytes;
+        r.net_bytes += node.net_bytes;
+        r.pairs_per_node.push(node.pairs_done);
+        r.busy_cpu += ns_to_secs(node.cpu.busy_ns());
+        r.host_cache.merge(&node.host_cache.stats());
+        r.directory.merge(node.directory.stats());
+        for gpu in &node.gpus {
+            r.busy_preprocess += ns_to_secs(gpu.pre_busy_ns);
+            r.busy_compare += ns_to_secs(gpu.cmp_busy_ns);
+            r.busy_h2d += ns_to_secs(gpu.h2d.busy_ns());
+            r.busy_d2h += ns_to_secs(gpu.d2h.busy_ns());
+            r.device_cache.merge(&gpu.cache.stats());
         }
     }
     r.makespan = ns_to_secs(makespan_ns);
-    if let Some(mut records) = perf_records {
-        if let Some(barrier) = drv.perf {
-            records.extend(barrier);
-        }
+    // Node-side records first, then boundary-side ones.
+    if let Some(mut records) = shard.perf {
+        records.extend(drv.perf.into_iter().flatten());
         ctx.cfg.perf.extend(records);
     }
     r
 }
 
-// ---- per-shard event handlers --------------------------------------------
+// ---- event handlers ----------------------------------------------------
 //
-// These are the sequential simulator's handlers with three systematic
-// changes: nodes are addressed by *global* id (`g - self.base` indexes the
-// shard's slice), every schedule draws a keyed priority from the target
-// node's monotonic sequence, and the three cross-shard channels (messages,
-// storage, steals) defer to the barrier instead of acting inline.
+// Every schedule draws a keyed priority from the target node's monotonic
+// sequence; storage requests and steals wait for the boundary schedule in
+// the module docs instead of acting inline.
 
 impl<Q: EventQueue<Ev>> ShardState<Q> {
-    /// Executes every event strictly before `window_end`.
-    fn run_window(&mut self, ctx: &Ctx) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= self.window_end {
-                break;
-            }
-            let (_, ev) = self.queue.pop().expect("peeked event");
-            self.handle(ctx, ev);
-            self.drain_wakes(ctx);
-            #[cfg(debug_assertions)]
-            self.validate();
-        }
-    }
-
     /// Draws the next event priority for global node `g`: unique across
     /// the whole run, ordered by `(node, draw index)` within a timestamp.
     #[inline]
     fn next_prio(&mut self, g: usize) -> u64 {
-        let slot = &mut self.seqs[g - self.base];
+        let slot = &mut self.seqs[g];
         let seq = *slot;
         *slot += 1;
         debug_assert!(seq < 1 << PRIO_SEQ_BITS, "per-node event seq overflow");
@@ -885,7 +640,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     #[inline]
     fn set_hungry(&mut self, g: usize, flag: bool) {
         let now = self.queue.now();
-        let node = &mut self.nodes[g - self.base];
+        let node = &mut self.nodes[g];
         if node.hungry != flag {
             node.hungry = flag;
             if flag {
@@ -933,19 +688,19 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     /// keeping jobs ≤ slots/2 per GPU guarantees every in-flight job's
     /// leases fit simultaneously — the counting argument that makes the
     /// pipeline deadlock- and livelock-free even for tiny caches.
-    fn gpu_cap(&self, l: usize, gpu: usize) -> usize {
-        (self.nodes[l].gpus[gpu].cache.capacity() / 2).max(1)
+    fn gpu_cap(&self, node: usize, gpu: usize) -> usize {
+        (self.nodes[node].gpus[gpu].cache.capacity() / 2).max(1)
     }
 
     #[inline]
-    fn has_gpu_slack(&self, l: usize) -> bool {
-        (0..self.nodes[l].gpus.len()).any(|g| self.nodes[l].gpus[g].in_flight < self.gpu_cap(l, g))
+    fn has_gpu_slack(&self, node: usize) -> bool {
+        (0..self.nodes[node].gpus.len())
+            .any(|g| self.nodes[node].gpus[g].in_flight < self.gpu_cap(node, g))
     }
 
     fn pull_work(&mut self, ctx: &Ctx, node: usize) {
-        let l = node - self.base;
         loop {
-            if self.nodes[l].jobs_in_flight >= ctx.cfg.job_limit || !self.has_gpu_slack(l) {
+            if self.nodes[node].jobs_in_flight >= ctx.cfg.job_limit || !self.has_gpu_slack(node) {
                 // Capacity-limited, not starved: job completions re-pull.
                 self.set_hungry(node, false);
                 return;
@@ -963,21 +718,20 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
 
     #[inline]
     fn next_pair(&mut self, ctx: &Ctx, node: usize) -> Option<Pair> {
-        let l = node - self.base;
         // Stream from the open row first: the cursor is exactly the
         // rest-of-row block the one-block-per-pair scheme would have
         // pushed to (and immediately popped back off) the deque tail, so
         // consumption order is unchanged while each pair costs an
         // increment instead of deque traffic. `normalize_cursors` pushes
         // the remnant back before any steal snapshot reads the deques.
-        if let Some(row) = self.nodes[l].cursor.as_mut() {
+        if let Some(row) = self.nodes[node].cursor.as_mut() {
             let pair = Pair {
                 left: row.row_lo,
                 right: row.col_lo,
             };
             row.col_lo += 1;
             if row.col_lo == row.col_hi {
-                self.nodes[l].cursor = None;
+                self.nodes[node].cursor = None;
                 self.work_blocks -= 1;
             }
             return Some(pair);
@@ -986,7 +740,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             // Depth-first descent into the quadrant tree. No inline
             // stealing: hungry nodes wait for the deterministic boundary
             // match (`steal_match`).
-            let block = self.nodes[l].deque.pop()?;
+            let block = self.nodes[node].deque.pop()?;
             self.work_blocks -= 1;
             if block.count() <= ctx.cfg.leaf_pairs {
                 // Take the first pair (row-major, matching `Block::pairs`),
@@ -1001,7 +755,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
                     ..block
                 };
                 if below.count() > 0 {
-                    self.nodes[l].deque.push(below);
+                    self.nodes[node].deque.push(below);
                     self.work_blocks += 1;
                 }
                 let row = Block {
@@ -1011,13 +765,13 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
                     col_hi: block.col_hi,
                 };
                 if row.count() > 0 {
-                    self.nodes[l].cursor = Some(row);
+                    self.nodes[node].cursor = Some(row);
                     self.work_blocks += 1;
                 }
                 return Some(pair);
             }
             for child in block.split() {
-                self.nodes[l].deque.push(child);
+                self.nodes[node].deque.push(child);
                 self.work_blocks += 1;
             }
         }
@@ -1025,16 +779,15 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
 
     fn start_job(&mut self, ctx: &Ctx, node: usize, pair: Pair) {
         self.pairs_started += 1;
-        let l = node - self.base;
         // Bind to the least-loaded GPU of the node (per-GPU workers) that
         // still has lease headroom.
-        let gpu = (0..self.nodes[l].gpus.len())
-            .filter(|&g| self.nodes[l].gpus[g].in_flight < self.gpu_cap(l, g))
-            .min_by_key(|&g| self.nodes[l].gpus[g].in_flight)
+        let gpu = (0..self.nodes[node].gpus.len())
+            .filter(|&g| self.nodes[node].gpus[g].in_flight < self.gpu_cap(node, g))
+            .min_by_key(|&g| self.nodes[node].gpus[g].in_flight)
             .expect("caller checked gpu slack");
-        self.nodes[l].gpus[gpu].in_flight += 1;
-        self.nodes[l].jobs_in_flight += 1;
-        let id = self.nodes[l].alloc_job(SimJob {
+        self.nodes[node].gpus[gpu].in_flight += 1;
+        self.nodes[node].jobs_in_flight += 1;
+        let id = self.nodes[node].alloc_job(SimJob {
             pair,
             gpu,
             left: None,
@@ -1048,8 +801,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     // ---- job lease acquisition (mirrors the threaded conductor) ----------
 
     fn try_acquire(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        let l = node - self.base;
-        let Some(job) = self.nodes[l].job(id) else {
+        let Some(job) = self.nodes[node].job(id) else {
             return;
         };
         if job.comparing {
@@ -1063,7 +815,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
         }
         for (which, item) in order {
             let held = {
-                let job = self.nodes[l].job(id).expect("job");
+                let job = self.nodes[node].job(id).expect("job");
                 if which == 0 {
                     job.left
                 } else {
@@ -1073,9 +825,9 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             if held.is_some() {
                 continue;
             }
-            match self.nodes[l].gpus[gpu].cache.get(item, || Tok::Job(id)) {
+            match self.nodes[node].gpus[gpu].cache.get(item, || Tok::Job(id)) {
                 Lookup::Hit(slot) => {
-                    let job = self.nodes[l].job_mut(id).expect("job");
+                    let job = self.nodes[node].job_mut(id).expect("job");
                     if which == 0 {
                         job.left = Some(slot);
                     } else {
@@ -1088,34 +840,33 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
                 Lookup::MustLoad(slot) => {
                     let now = self.queue.now();
                     self.perf(now, PerfKind::DevMiss, node, item);
-                    let fill = &mut self.nodes[l].gpus[gpu].fills[item as usize];
+                    let fill = &mut self.nodes[node].gpus[gpu].fills[item as usize];
                     fill.dev_slot = Some(slot);
                     fill.waiters.push(Tok::Job(id));
                     self.continue_dev_fill(ctx, node, gpu, item);
                     return;
                 }
                 Lookup::Busy => {
-                    self.nodes[l].job_mut(id).expect("job").stalled = Some(item);
+                    self.nodes[node].job_mut(id).expect("job").stalled = Some(item);
                     self.release_leases(node, id);
                     return;
                 }
             }
         }
-        let job = self.nodes[l].job_mut(id).expect("job");
+        let job = self.nodes[node].job_mut(id).expect("job");
         job.stalled = None;
         job.comparing = true;
         self.schedule_compare(ctx, node, id);
     }
 
     fn release_leases(&mut self, node: usize, id: u64) {
-        let l = node - self.base;
-        let Some(job) = self.nodes[l].job_mut(id) else {
+        let Some(job) = self.nodes[node].job_mut(id) else {
             return;
         };
         let gpu = job.gpu;
         let leases = [job.left.take(), job.right.take()];
         for slot in leases.into_iter().flatten() {
-            if let Some(tok) = self.nodes[l].gpus[gpu].cache.release(slot) {
+            if let Some(tok) = self.nodes[node].gpus[gpu].cache.release(slot) {
                 self.wake(node, tok);
             }
         }
@@ -1141,11 +892,10 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     // ---- compare / result / post -----------------------------------------
 
     fn schedule_compare(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        let l = node - self.base;
-        let gpu = self.nodes[l].job(id).expect("job").gpu;
-        let base = sample_ns(&mut self.nodes[l].rng, &ctx.stages.compare);
+        let gpu = self.nodes[node].job(id).expect("job").gpu;
+        let base = sample_ns(&mut self.nodes[node].rng, &ctx.stages.compare);
         let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
+        let g = &mut self.nodes[node].gpus[gpu];
         let dur = (base as f64 / g.rates.compute_scale) as u64;
         let done = g.compute.submit(now, dur);
         g.cmp_busy_ns += dur;
@@ -1158,10 +908,9 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     fn on_compare_done(&mut self, ctx: &Ctx, node: usize, id: u64) {
         // Leases can be dropped as soon as the kernel finishes.
         self.release_leases(node, id);
-        let l = node - self.base;
-        let gpu = self.nodes[l].job(id).expect("job").gpu;
+        let gpu = self.nodes[node].job(id).expect("job").gpu;
         let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
+        let g = &mut self.nodes[node].gpus[gpu];
         let dur = transfer_ns(
             ctx.cfg.workload.item_bytes.min(1024),
             g.rates.d2h_bytes_per_sec,
@@ -1174,10 +923,9 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn on_result_done(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        let l = node - self.base;
-        let dur = sample_ns(&mut self.nodes[l].rng, &ctx.stages.postprocess);
+        let dur = sample_ns(&mut self.nodes[node].rng, &ctx.stages.postprocess);
         let now = self.queue.now();
-        let done = self.nodes[l].cpu.submit(now, dur);
+        let done = self.nodes[node].cpu.submit(now, dur);
         let p = self.next_prio(node);
         self.queue
             .schedule_keyed(done, p, Ev::PostDone { node, job: id });
@@ -1185,14 +933,13 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn on_post_done(&mut self, ctx: &Ctx, node: usize, id: u64) {
-        let l = node - self.base;
-        let job = self.nodes[l].free_job(id);
-        self.nodes[l].gpus[job.gpu].in_flight -= 1;
-        self.nodes[l].jobs_in_flight -= 1;
-        self.nodes[l].pairs_done += 1;
+        let job = self.nodes[node].free_job(id);
+        self.nodes[node].gpus[job.gpu].in_flight -= 1;
+        self.nodes[node].jobs_in_flight -= 1;
+        self.nodes[node].pairs_done += 1;
         self.pairs_done += 1;
         let now = self.queue.now();
-        self.nodes[l].makespan_ns = self.nodes[l].makespan_ns.max(now);
+        self.nodes[node].makespan_ns = self.nodes[node].makespan_ns.max(now);
         if let Some(series) = &mut self.completions {
             let gid = ctx.gpu_gid_base[node] + job.gpu;
             series.record(gid as u32, now);
@@ -1203,8 +950,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     // ---- device fill ------------------------------------------------------
 
     fn continue_dev_fill(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        let fill = &self.nodes[l].gpus[gpu].fills[item as usize];
+        let fill = &self.nodes[node].gpus[gpu].fills[item as usize];
         if fill.dev_slot.is_none() {
             return;
         }
@@ -1214,13 +960,13 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
         if fill.h2d_lease.is_some() {
             return;
         }
-        match self.nodes[l]
+        match self.nodes[node]
             .host_cache
             .get(item, || Tok::DevFill { gpu, item })
         {
             Lookup::Hit(hslot) => {
                 let now = self.queue.now();
-                let g = &mut self.nodes[l].gpus[gpu];
+                let g = &mut self.nodes[node].gpus[gpu];
                 g.fills[item as usize].h2d_lease = Some(hslot);
                 let dur = transfer_ns(ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
                 let done = g.h2d.submit(now, dur);
@@ -1234,12 +980,12 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             Lookup::MustLoad(hslot) => {
                 let now = self.queue.now();
                 self.perf(now, PerfKind::HostMiss, node, item);
-                self.nodes[l].host_fill[item as usize] = Some(HostFill {
+                self.nodes[node].host_fill[item as usize] = Some(HostFill {
                     origin_gpu: gpu as u32,
                     slot: hslot,
                 });
-                if ctx.cfg.distributed_cache && ctx.node_shard.len() > 1 {
-                    let (to, msg) = self.nodes[l].directory.begin_lookup(item);
+                if ctx.cfg.distributed_cache && self.nodes.len() > 1 {
+                    let (to, msg) = self.nodes[node].directory.begin_lookup(item);
                     self.send(ctx, node, to, Msg::Dir(msg));
                     self.perf(now, PerfKind::Probe, node, item);
                 } else {
@@ -1250,12 +996,11 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn on_fill_copy_done(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        if let Some(hslot) = self.nodes[l].gpus[gpu].fills[item as usize]
+        if let Some(hslot) = self.nodes[node].gpus[gpu].fills[item as usize]
             .h2d_lease
             .take()
         {
-            if let Some(tok) = self.nodes[l].host_cache.release(hslot) {
+            if let Some(tok) = self.nodes[node].host_cache.release(hslot) {
                 self.wake(node, tok);
             }
         }
@@ -1264,13 +1009,12 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn complete_dev_fill(&mut self, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        let fill = &mut self.nodes[l].gpus[gpu].fills[item as usize];
+        let fill = &mut self.nodes[node].gpus[gpu].fills[item as usize];
         let Some(dslot) = fill.dev_slot.take() else {
             return;
         };
         let ws = std::mem::take(&mut fill.waiters);
-        let waiters = self.nodes[l].gpus[gpu].cache.publish(dslot);
+        let waiters = self.nodes[node].gpus[gpu].cache.publish(dslot);
         for w in waiters {
             self.wake(node, w);
         }
@@ -1279,7 +1023,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
         }
         // The published slot is evictable until a reader takes it: that is
         // fresh capacity, so a parked capacity waiter must get a retry.
-        if let Some(w) = self.nodes[l].gpus[gpu].cache.pop_capacity_waiter() {
+        if let Some(w) = self.nodes[node].gpus[gpu].cache.pop_capacity_waiter() {
             self.wake(node, w);
         }
     }
@@ -1287,23 +1031,19 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     // ---- host fill / load pipeline ----------------------------------------
 
     /// Defers a storage load. The request is priced (`io_bytes`) here but
-    /// submitted to the shared storage engine only at the next flush —
-    /// time advance when sequential, window barrier when sharded — in
-    /// global `(time, prio)` order, which is exactly the serialization the
-    /// sequential engine sees.
+    /// submitted to the shared storage engine only once virtual time moves
+    /// past it, in `(time, prio)` order (see `flush_loads`).
     fn request_load(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        self.nodes[l].io_bytes += ctx.cfg.workload.file_bytes;
+        self.nodes[node].io_bytes += ctx.cfg.workload.file_bytes;
         let now = self.queue.now();
         let p = self.next_prio(node);
         self.load_reqs.push((now, p, node, item));
     }
 
     fn on_io_done(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        let dur = sample_ns(&mut self.nodes[l].rng, &ctx.stages.parse);
+        let dur = sample_ns(&mut self.nodes[node].rng, &ctx.stages.parse);
         let now = self.queue.now();
-        let done = self.nodes[l].cpu.submit(now, dur);
+        let done = self.nodes[node].cpu.submit(now, dur);
         let p = self.next_prio(node);
         self.queue
             .schedule_keyed(done, p, Ev::ParseDone { node, item });
@@ -1311,8 +1051,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn on_parse_done(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        let Some(fill) = self.nodes[l].host_fill[item as usize] else {
+        let Some(fill) = self.nodes[node].host_fill[item as usize] else {
             return;
         };
         let gpu = fill.origin_gpu as usize;
@@ -1320,7 +1059,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             // Stage parsed bytes to the device, pre-process there, write the
             // item back to the host slot (Fig 4's ℓ path).
             let now = self.queue.now();
-            let g = &mut self.nodes[l].gpus[gpu];
+            let g = &mut self.nodes[node].gpus[gpu];
             let dur = transfer_ns(ctx.cfg.workload.item_bytes, g.rates.h2d_bytes_per_sec);
             let done = g.h2d.submit(now, dur);
             let p = self.next_prio(node);
@@ -1329,19 +1068,18 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             self.perf(done, PerfKind::CopyIn, node, dur);
         } else {
             // No GPU pre-processing: the parsed bytes are the item.
-            self.nodes[l].loads += 1;
+            self.nodes[node].loads += 1;
             self.publish_host(ctx, node, item);
         }
     }
 
     fn schedule_preprocess(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
         let base = sample_ns(
-            &mut self.nodes[l].rng,
+            &mut self.nodes[node].rng,
             ctx.stages.preprocess.as_ref().expect("preprocess stage"),
         );
         let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
+        let g = &mut self.nodes[node].gpus[gpu];
         let dur = (base as f64 / g.rates.compute_scale) as u64;
         let done = g.compute.submit(now, dur);
         g.pre_busy_ns += dur;
@@ -1352,13 +1090,12 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn on_preprocess_done(&mut self, ctx: &Ctx, node: usize, gpu: usize, item: u64) {
-        let l = node - self.base;
-        self.nodes[l].loads += 1;
+        self.nodes[node].loads += 1;
         // Publish the device slot first (jobs can compare immediately), then
         // write back to the host slot.
         self.complete_dev_fill(node, gpu, item);
         let now = self.queue.now();
-        let g = &mut self.nodes[l].gpus[gpu];
+        let g = &mut self.nodes[node].gpus[gpu];
         let dur = transfer_ns(ctx.cfg.workload.item_bytes, g.rates.d2h_bytes_per_sec);
         let done = g.d2h.submit(now, dur);
         let p = self.next_prio(node);
@@ -1368,20 +1105,19 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     }
 
     fn publish_host(&mut self, ctx: &Ctx, node: usize, item: u64) {
-        let l = node - self.base;
-        let Some(fill) = self.nodes[l].host_fill[item as usize].take() else {
+        let Some(fill) = self.nodes[node].host_fill[item as usize].take() else {
             return;
         };
         let origin_gpu = fill.origin_gpu as usize;
-        let waiters = self.nodes[l].host_cache.publish(fill.slot);
+        let waiters = self.nodes[node].host_cache.publish(fill.slot);
         for w in waiters {
             self.wake(node, w);
         }
         // Fresh capacity (see complete_dev_fill): retry one parked waiter.
-        if let Some(w) = self.nodes[l].host_cache.pop_capacity_waiter() {
+        if let Some(w) = self.nodes[node].host_cache.pop_capacity_waiter() {
             self.wake(node, w);
         }
-        if self.nodes[l].gpus[origin_gpu].fills[item as usize]
+        if self.nodes[node].gpus[origin_gpu].fills[item as usize]
             .dev_slot
             .is_some()
         {
@@ -1391,29 +1127,21 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
 
     // ---- distributed cache ------------------------------------------------
 
-    /// Routes a message from `from` (a node of this shard) to `to`,
-    /// arriving at absolute time `at`. The priority is drawn from the
-    /// *sender's* sequence — K-invariant, unlike anything involving the
-    /// receiving queue. Cross-shard messages park in the outbox until the
-    /// barrier.
+    /// Schedules a message from `from` to `to`, arriving at absolute time
+    /// `at`, under a priority drawn from the *sender's* sequence.
     #[inline]
-    fn route_at(&mut self, ctx: &Ctx, at: SimTime, from: usize, to: usize, msg: Msg) {
+    fn route_at(&mut self, at: SimTime, from: usize, to: usize, msg: Msg) {
         let p = self.next_prio(from);
-        if ctx.node_shard[to] == self.id {
-            self.queue.schedule_keyed(at, p, Ev::Net { to, from, msg });
-        } else {
-            self.outbox.push((at, p, to, from, msg));
-        }
+        self.queue.schedule_keyed(at, p, Ev::Net { to, from, msg });
     }
 
     #[inline]
     fn send(&mut self, ctx: &Ctx, from: usize, to: usize, msg: Msg) {
         let at = self.queue.now() + ctx.net_lat_ns;
-        self.route_at(ctx, at, from, to, msg);
+        self.route_at(at, from, to, msg);
     }
 
     fn on_net(&mut self, ctx: &Ctx, to: usize, from: usize, msg: Msg) {
-        let l = to - self.base;
         match msg {
             Msg::Dir(dir_msg) => {
                 let lookup_item = match &dir_msg {
@@ -1422,7 +1150,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
                     }
                     _ => None,
                 };
-                let node = &mut self.nodes[l];
+                let node = &mut self.nodes[to];
                 let host_cache = &node.host_cache;
                 let (outgoing, resolution) = node
                     .directory
@@ -1436,7 +1164,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
                         let item = lookup_item.expect("found carries item");
                         let now = self.queue.now();
                         self.perf(now, PerfKind::ProbeHit, to, item);
-                        if self.nodes[l].host_fill[item as usize].is_some() {
+                        if self.nodes[to].host_fill[item as usize].is_some() {
                             self.send(
                                 ctx,
                                 to,
@@ -1452,7 +1180,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
                         let item = lookup_item.expect("not-found carries item");
                         let now = self.queue.now();
                         self.perf(now, PerfKind::ProbeMiss, to, item);
-                        if self.nodes[l].host_fill[item as usize].is_some() {
+                        if self.nodes[to].host_fill[item as usize].is_some() {
                             self.request_load(ctx, to, item);
                         }
                     }
@@ -1461,18 +1189,18 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             Msg::Fetch { item, requester } => {
                 // Serve from the host cache if still resident; transfer
                 // occupies this node's NIC.
-                let served = self.nodes[l].host_cache.try_read(item);
+                let served = self.nodes[to].host_cache.try_read(item);
                 match served {
                     Some(hslot) => {
-                        if let Some(tok) = self.nodes[l].host_cache.release(hslot) {
+                        if let Some(tok) = self.nodes[to].host_cache.release(hslot) {
                             self.wake(to, tok);
                         }
                         let bytes = ctx.cfg.workload.item_bytes;
-                        self.nodes[l].net_bytes += bytes;
+                        self.nodes[to].net_bytes += bytes;
                         let dur = secs_to_ns(bytes as f64 / ctx.cfg.net_bandwidth);
                         let now = self.queue.now();
-                        let done = self.nodes[l].nic.submit(now, dur) + ctx.net_lat_ns;
-                        self.route_at(ctx, done, to, requester, Msg::FetchReply { item, ok: true });
+                        let done = self.nodes[to].nic.submit(now, dur) + ctx.net_lat_ns;
+                        self.route_at(done, to, requester, Msg::FetchReply { item, ok: true });
                     }
                     None => {
                         self.send(ctx, to, requester, Msg::FetchReply { item, ok: false });
@@ -1481,11 +1209,11 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
             }
             Msg::FetchReply { item, ok } => {
                 let _ = from;
-                if self.nodes[l].host_fill[item as usize].is_none() {
+                if self.nodes[to].host_fill[item as usize].is_none() {
                     return;
                 }
                 if ok {
-                    self.nodes[l].remote_fetches += 1;
+                    self.nodes[to].remote_fetches += 1;
                     self.publish_host(ctx, to, item);
                 } else {
                     self.request_load(ctx, to, item);
@@ -1498,8 +1226,7 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
     /// exactly one job lease, every host lease by one in-flight H2D copy.
     #[cfg(debug_assertions)]
     fn validate(&self) {
-        for (li, node) in self.nodes.iter().enumerate() {
-            let ni = self.base + li;
+        for (ni, node) in self.nodes.iter().enumerate() {
             let mut dev_readers: Vec<Vec<u32>> = node
                 .gpus
                 .iter()
@@ -1541,17 +1268,15 @@ impl<Q: EventQueue<Ev>> ShardState<Q> {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{simulate, SimNodeConfig};
-    use crate::engine::SlabEventQueue;
+    use crate::cluster::SimNodeConfig;
     use rocket_core::WorkloadProfile;
     use rocket_stats::Dist;
 
-    fn toy_workload(items: u64) -> WorkloadProfile {
-        WorkloadProfile {
+    fn toy_config(items: u64, nodes: usize, slots: usize) -> SimConfig {
+        let workload = WorkloadProfile {
             name: "toy",
             items,
             file_bytes: 1_000_000,
@@ -1562,33 +1287,15 @@ mod tests {
             postprocess: Dist::Constant(0.0),
             paper_device_slots: 8,
             paper_host_slots: 16,
-        }
-    }
-
-    fn toy_config(items: u64, nodes: usize, slots: usize) -> SimConfig {
+        };
         let node = SimNodeConfig::uniform(1, slots, slots * 2);
-        SimConfig::cluster(toy_workload(items), vec![node; nodes])
-    }
-
-    #[test]
-    fn shard_ranges_are_contiguous_and_balanced() {
-        for (p, k) in [(4, 2), (5, 2), (13, 4), (7, 7), (3, 1)] {
-            let ranges = shard_ranges(p, k);
-            assert_eq!(ranges.len(), k);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, p);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-                assert!(w[0].len() >= w[1].len());
-                assert!(w[0].len() - w[1].len() <= 1);
-            }
-        }
+        SimConfig::cluster(workload, vec![node; nodes])
     }
 
     #[test]
     fn window_width_respects_both_lookahead_channels() {
         let cfg = toy_config(4, 2, 4);
-        let ctx = build_ctx(&cfg, 2);
+        let ctx = build_ctx(&cfg);
         let net = secs_to_ns(cfg.net_latency);
         let storage = secs_to_ns(cfg.workload.file_bytes as f64 / cfg.storage_bandwidth)
             + secs_to_ns(cfg.storage_latency);
@@ -1598,57 +1305,7 @@ mod tests {
         let mut fast_storage = toy_config(4, 2, 4);
         fast_storage.storage_latency = 0.0;
         fast_storage.storage_bandwidth = 1e15;
-        let ctx2 = build_ctx(&fast_storage, 2);
+        let ctx2 = build_ctx(&fast_storage);
         assert!(ctx2.window_ns <= secs_to_ns(1e-9).max(1) || ctx2.window_ns < net);
-    }
-
-    /// A message scheduled exactly *on* a window boundary must not execute
-    /// in that window (windows are half-open) and must execute once the
-    /// window advances past it.
-    #[test]
-    fn boundary_event_lands_in_the_next_window() {
-        // items = 0: no root work, so Pull handlers are inert and the
-        // queues start empty.
-        let cfg = toy_config(0, 2, 4);
-        let ctx = build_ctx(&cfg, 2);
-        let mut shards = build_shards::<SlabEventQueue<Ev>>(&cfg, &ctx, 2);
-        let win = ctx.window_ns;
-        let s = &mut shards[0];
-        s.window_end = win;
-        let p_in = s.next_prio(0);
-        s.queue.schedule_keyed(win - 1, p_in, Ev::Pull { node: 0 });
-        let p_on = s.next_prio(0);
-        s.queue.schedule_keyed(win, p_on, Ev::Pull { node: 0 });
-        s.run_window(&ctx);
-        assert_eq!(s.ev_counts[0], 1, "in-window event must run");
-        assert_eq!(
-            s.queue.peek_time(),
-            Some(win),
-            "boundary event must wait for the next window"
-        );
-        s.window_end = 2 * win;
-        s.run_window(&ctx);
-        assert_eq!(s.ev_counts[0], 2, "boundary event runs in next window");
-        assert_eq!(s.queue.peek_time(), None);
-    }
-
-    #[test]
-    fn sharded_toy_run_matches_sequential_byte_for_byte() {
-        let seq = toy_config(24, 4, 12);
-        let mut sharded = seq.clone();
-        sharded.shards = 4;
-        sharded.shard_threads = 2;
-        let a = format!("{:?}", simulate(&seq));
-        let b = format!("{:?}", simulate(&sharded));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shard_count_beyond_nodes_is_clamped() {
-        let mut cfg = toy_config(12, 2, 16);
-        cfg.shards = 64;
-        assert_eq!(cfg.effective_shards(), 2);
-        let r = simulate(&cfg);
-        assert_eq!(r.pairs, 66);
     }
 }

@@ -139,72 +139,6 @@ impl StealPool {
         });
     }
 
-    /// Runs `tasks` index-addressed tasks per *round* on up to `threads`
-    /// persistent worker threads, calling `between()` exclusively on the
-    /// caller thread after every round. Rounds repeat until `between`
-    /// returns `false`.
-    ///
-    /// This is the barrier-style sibling of [`StealPool::run_tasks`] for
-    /// lock-step algorithms (e.g. conservative time-window simulation):
-    /// `run_tasks` spawns and joins threads per call, which is far too
-    /// expensive to do once per window, so `run_rounds` keeps the workers
-    /// alive across rounds and synchronizes them on a spin barrier. Within
-    /// a round each index is claimed by exactly one worker (work-sharing
-    /// over an atomic cursor); `between` runs while every worker is parked
-    /// at the barrier, so it has exclusive access to whatever state the
-    /// tasks touched.
-    pub fn run_rounds<T, B>(tasks: usize, threads: usize, task: T, mut between: B)
-    where
-        T: Fn(usize) + Sync,
-        B: FnMut() -> bool,
-    {
-        let threads = threads.max(1).min(tasks.max(1));
-        if threads == 1 {
-            loop {
-                for i in 0..tasks {
-                    task(i);
-                }
-                if !between() {
-                    return;
-                }
-            }
-        }
-        let cursor = AtomicU64::new(0);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        // Two barrier phases per round: `start` releases the workers into
-        // the round, `end` hands control back to the caller for `between`.
-        let start = SpinBarrier::new(threads + 1);
-        let end = SpinBarrier::new(threads + 1);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= tasks {
-                            break;
-                        }
-                        task(i);
-                    }
-                    end.wait();
-                });
-            }
-            loop {
-                cursor.store(0, Ordering::Relaxed);
-                start.wait();
-                end.wait();
-                if !between() {
-                    stop.store(true, Ordering::Release);
-                    start.wait();
-                    break;
-                }
-            }
-        });
-    }
-
     /// Processes every pair of `n` items, calling `on_leaf(worker, pair)`
     /// from pool worker threads. `on_leaf` may block (that is how the
     /// concurrent-job limit applies back-pressure to the scheduler).
@@ -337,49 +271,6 @@ impl StealPool {
                 .collect(),
             local_steals: local_steals.load(Ordering::Relaxed),
             remote_steals: remote_steals.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A reusable spin barrier for tightly-coupled round synchronization.
-///
-/// `std::sync::Barrier` parks threads in the kernel, which costs tens of
-/// microseconds per crossing — longer than an entire simulation window.
-/// This barrier spins (with `spin_loop` hints, degrading to `yield_now`)
-/// on a generation counter instead, keeping a barrier crossing in the
-/// sub-microsecond range when all parties arrive promptly.
-struct SpinBarrier {
-    parties: usize,
-    arrived: std::sync::atomic::AtomicUsize,
-    generation: AtomicU64,
-}
-
-impl SpinBarrier {
-    fn new(parties: usize) -> Self {
-        Self {
-            parties,
-            arrived: std::sync::atomic::AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Last arrival: reset the count and release the generation.
-            self.arrived.store(0, Ordering::Release);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            return;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            spins += 1;
-            if spins < 10_000 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
         }
     }
 }
@@ -561,59 +452,6 @@ mod tests {
             },
         );
         assert_eq!(seen.load(Ordering::Relaxed), 32 * 31 / 2);
-    }
-
-    /// Every round must see all task indices exactly once, and `between`
-    /// must run with every worker parked (exclusive access).
-    fn check_run_rounds(tasks: usize, threads: usize) {
-        let rounds = 5usize;
-        let hits: Vec<AtomicU64> = (0..tasks).map(|_| AtomicU64::new(0)).collect();
-        let mut round = 0usize;
-        StealPool::run_rounds(
-            tasks,
-            threads,
-            |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                round += 1;
-                // Exclusive: every task has run exactly `round` times.
-                for h in &hits {
-                    assert_eq!(h.load(Ordering::Relaxed), round as u64);
-                }
-                round < rounds
-            },
-        );
-        assert_eq!(round, rounds);
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), rounds as u64);
-        }
-    }
-
-    #[test]
-    fn run_rounds_inline_single_thread() {
-        check_run_rounds(4, 1);
-    }
-
-    #[test]
-    fn run_rounds_parallel() {
-        check_run_rounds(8, 4);
-        check_run_rounds(3, 8); // more threads than tasks
-    }
-
-    #[test]
-    fn run_rounds_zero_tasks_terminates() {
-        let mut calls = 0;
-        StealPool::run_rounds(
-            0,
-            4,
-            |_| panic!("no tasks"),
-            || {
-                calls += 1;
-                calls < 3
-            },
-        );
-        assert_eq!(calls, 3);
     }
 
     #[test]

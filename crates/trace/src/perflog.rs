@@ -35,7 +35,7 @@ pub const PERFLOG_SCHEMA: u32 = 1;
 /// Stage kinds carry a duration in `value` (nanoseconds of service time);
 /// cache and directory kinds are discrete events (`value` is the item);
 /// `Steal` carries the pairs moved; `QueueDepth` and `Window` are engine
-/// gauges sampled at window barriers (`node` is then the shard id).
+/// gauges sampled at simulator window boundaries (`node` is then 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant meanings are the table above
 pub enum PerfKind {
@@ -162,8 +162,7 @@ pub struct PerfRecord {
     pub t_ns: u64,
     /// What was measured.
     pub kind: PerfKind,
-    /// Node (or shard, for [`PerfClass::Engine`] gauges) the sample
-    /// belongs to.
+    /// Node the sample belongs to (0 for [`PerfClass::Engine`] gauges).
     pub node: u32,
     /// Kind-dependent payload: duration ns for stages, item id for cache
     /// and directory events, pairs moved for steals, gauge value for
@@ -217,7 +216,7 @@ impl PerfLog {
     }
 
     /// Appends many records at once — the engines' fold path: buffer
-    /// per-shard during the run, extend once at the end.
+    /// locally during the run, extend once at the end.
     pub fn extend(&self, records: impl IntoIterator<Item = PerfRecord>) {
         if let Some(buf) = &self.inner {
             buf.lock().extend(records);
@@ -394,7 +393,7 @@ impl<'a> PerfQuery<'a> {
         self
     }
 
-    /// Keep only records of one node (or shard, for engine gauges).
+    /// Keep only records of one node (engine gauges carry node 0).
     pub fn node(mut self, node: u32) -> Self {
         self.node = Some(node);
         self

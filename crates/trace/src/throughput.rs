@@ -28,16 +28,6 @@ impl ThroughputSeries {
         self.events.keys().copied().collect()
     }
 
-    /// Folds another series into this one, appending `other`'s events per
-    /// source. When the source sets are disjoint (e.g. per-shard series in
-    /// a sharded simulation, where a GPU id lives on exactly one shard)
-    /// the merge is order-independent.
-    pub fn merge(&mut self, other: &ThroughputSeries) {
-        for (&source, times) in &other.events {
-            self.events.entry(source).or_default().extend(times);
-        }
-    }
-
     /// Total events for a source.
     pub fn total(&self, source: u32) -> usize {
         self.events.get(&source).map_or(0, Vec::len)
