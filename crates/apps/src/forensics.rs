@@ -265,15 +265,19 @@ impl Application for ForensicsApp {
         right: (ItemId, &[u8]),
         out: &mut [u8],
     ) -> Result<(), AppError> {
-        let n = self.pixels();
+        let bytes = self.pixels() * 4;
         // NCC of unit-norm residuals = dot product; read directly from the
-        // device buffers to avoid allocating per pair.
+        // device buffers to avoid allocating per pair. Walking 4-byte chunks
+        // lets the compiler drop every per-byte bounds check. The sum stays
+        // strictly sequential in f64, so the score is bit-identical to the
+        // element-by-element formula.
         let mut dot = 0.0f64;
-        for i in 0..n {
-            let o = i * 4;
-            let a = f32::from_le_bytes([left.1[o], left.1[o + 1], left.1[o + 2], left.1[o + 3]]);
-            let b =
-                f32::from_le_bytes([right.1[o], right.1[o + 1], right.1[o + 2], right.1[o + 3]]);
+        for (a, b) in left.1[..bytes]
+            .chunks_exact(4)
+            .zip(right.1[..bytes].chunks_exact(4))
+        {
+            let a = f32::from_le_bytes([a[0], a[1], a[2], a[3]]);
+            let b = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
             dot += (a * b) as f64;
         }
         out[..8].copy_from_slice(&dot.to_le_bytes());
@@ -419,6 +423,52 @@ mod tests {
         let score = app.postprocess(Pair::new(0, 1), &result);
         let expected: f64 = a.iter().zip(&b).map(|(&x, &y)| (x * y) as f64).sum();
         assert!((score - expected).abs() < 1e-12);
+    }
+
+    /// The kernel as first written: one `from_le_bytes` per element from
+    /// individually indexed bytes, summed in order.
+    fn compare_by_index(left: &[u8], right: &[u8], n: usize) -> f64 {
+        let mut dot = 0.0f64;
+        for i in 0..n {
+            let o = i * 4;
+            let a = f32::from_le_bytes([left[o], left[o + 1], left[o + 2], left[o + 3]]);
+            let b = f32::from_le_bytes([right[o], right[o + 1], right[o + 2], right[o + 3]]);
+            dot += (a * b) as f64;
+        }
+        dot
+    }
+
+    #[test]
+    fn compare_is_bit_identical_to_the_indexed_formula() {
+        let config = ForensicsConfig {
+            width: 32,
+            height: 32,
+            ..Default::default()
+        };
+        let app = ForensicsApp::new(&config);
+        let n = app.pixels();
+        let mut rng = rocket_stats::Xoshiro256::seed_from(0x5eed);
+        // Values spread over many magnitudes, so any change in summation
+        // order (two accumulators, a tree sum, an f32 sum) rounds
+        // differently somewhere.
+        let mut residual = || -> Vec<u8> {
+            let v: Vec<f32> = (0..n)
+                .map(|_| ((rng.f64() - 0.5) * 10f64.powf(rng.f64() * 6.0 - 3.0)) as f32)
+                .collect();
+            let mut buf = vec![0u8; app.item_bytes()];
+            bytesutil::write_f32(&mut buf, &v);
+            buf
+        };
+        let items: Vec<Vec<u8>> = (0..8).map(|_| residual()).collect();
+        let mut out = vec![0u8; app.result_bytes()];
+        for (i, a) in items.iter().enumerate() {
+            for (j, b) in items.iter().enumerate() {
+                app.compare((i as u64, a), (j as u64, b), &mut out).unwrap();
+                let got = f64::from_le_bytes(out[..8].try_into().unwrap());
+                let want = compare_by_index(a, b, n);
+                assert_eq!(got.to_bits(), want.to_bits(), "pair ({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rocket_apps::bioinfo::{composition_vector, sparse_correlation};
-use rocket_apps::forensics::ForensicsApp;
+use rocket_apps::forensics::{ForensicsApp, ForensicsConfig};
 use rocket_apps::microscopy::{gmm_l2_score, register, rotate, Metric, MicroscopyConfig};
+use rocket_core::Application;
 use rocket_stats::Xoshiro256;
 
 fn bench_forensics(c: &mut Criterion) {
@@ -27,6 +28,32 @@ fn bench_forensics(c: &mut Criterion) {
                 .map(|(&x, &y)| (x * y) as f64)
                 .sum();
             dot
+        });
+    });
+    // The kernel as `ForensicsApp` runs it: little-endian f32 residuals in
+    // byte buffers, decoded inside the dot product. 32x32 is the image
+    // size of perfbench's `forensics_dist`.
+    let (w, h) = (32usize, 32usize);
+    let app = ForensicsApp::new(&ForensicsConfig {
+        width: w,
+        height: h,
+        ..ForensicsConfig::default()
+    });
+    let residual_bytes = |rng: &mut Xoshiro256| -> Vec<u8> {
+        let image: Vec<f32> = (0..w * h).map(|_| rng.f64() as f32).collect();
+        ForensicsApp::extract_residual(&image, w, h)
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect()
+    };
+    let (left, right) = (residual_bytes(&mut rng), residual_bytes(&mut rng));
+    let mut out = vec![0u8; app.result_bytes()];
+    group.throughput(Throughput::Elements((w * h) as u64));
+    group.bench_function("compare_app_32x32", |b| {
+        b.iter(|| {
+            app.compare((0, black_box(&left)), (1, black_box(&right)), &mut out)
+                .unwrap();
+            black_box(&out);
         });
     });
     group.finish();

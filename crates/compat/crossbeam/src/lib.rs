@@ -4,8 +4,12 @@
 //! channels with timeouts and disconnect detection) and [`deque`]
 //! (owner-LIFO / thief-FIFO work-stealing deques) — on top of plain mutexes
 //! and condition variables. Correctness and API compatibility over raw
-//! scalability: the threaded runtime's channels carry coarse-grained events,
-//! not per-pair messages, so lock-based queues are not a bottleneck.
+//! scalability. The threaded runtime's event channels do carry per-pair
+//! traffic, so two things keep their cost down: a sender wakes a receiver
+//! only when one is parked in [`channel::Receiver::recv`] or
+//! [`channel::Receiver::recv_timeout`] (a send to a busy receiver is a
+//! lock and a push, no `futex` wake), and the runtime moves a burst of
+//! ready work as one message rather than one message per pair.
 
 pub mod channel {
     //! Multi-producer multi-consumer unbounded channels.
@@ -23,6 +27,10 @@ pub mod channel {
         items: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `ready` right now. A send notifies only
+        /// when this is non-zero: a receiver checks `items` under the lock
+        /// before it parks, so no wake-up can be lost.
+        waiting: usize,
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone; holds
@@ -84,6 +92,7 @@ pub mod channel {
                 items: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                waiting: 0,
             }),
             ready: Condvar::new(),
         });
@@ -107,8 +116,11 @@ pub mod channel {
                 return Err(SendError(value));
             }
             state.items.push_back(value);
+            let parked = state.waiting > 0;
             drop(state);
-            self.shared.ready.notify_one();
+            if parked {
+                self.shared.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -157,11 +169,13 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.waiting += 1;
                 state = self
                     .shared
                     .ready
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
+                state.waiting -= 1;
             }
         }
 
@@ -184,12 +198,14 @@ pub mod channel {
                 if left.is_zero() {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.waiting += 1;
                 let (s, timed_out) = self
                     .shared
                     .ready
                     .wait_timeout(state, left)
                     .unwrap_or_else(PoisonError::into_inner);
                 state = s;
+                state.waiting -= 1;
                 if timed_out.timed_out() && state.items.is_empty() {
                     return if state.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -198,6 +214,26 @@ pub mod channel {
                     };
                 }
             }
+        }
+
+        /// True if no message is queued right now.
+        pub fn is_empty(&self) -> bool {
+            self.shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .items
+                .is_empty()
+        }
+
+        /// Receivers parked in `recv` or `recv_timeout` right now.
+        #[cfg(test)]
+        pub(crate) fn parked(&self) -> usize {
+            self.shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .waiting
         }
 
         /// Returns a message if one is immediately available.
@@ -384,6 +420,137 @@ mod tests {
         }
         h.join().unwrap();
         assert_eq!(sum, 4950);
+    }
+
+    /// Runs `body` on its own thread and fails if it does not finish
+    /// within `secs`, so a lost wake-up fails the test instead of hanging
+    /// the suite.
+    fn within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            let out = body();
+            let _ = done_tx.send(());
+            out
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(secs))
+            .expect("channel operation hung");
+        h.join().unwrap()
+    }
+
+    #[test]
+    fn mpmc_stress_delivers_every_message_exactly_once() {
+        const SENDERS: u64 = 4;
+        const PER_SENDER: u64 = 20_000;
+        let got = within(60, || {
+            let (tx, rx) = unbounded::<u64>();
+            // Receivers of all three kinds, two of each, draining until the
+            // channel disconnects.
+            let receivers: Vec<_> = (0..6)
+                .map(|k| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        match k % 3 {
+                            0 => {
+                                while let Ok(v) = rx.recv() {
+                                    got.push(v);
+                                }
+                            }
+                            1 => loop {
+                                match rx.recv_timeout(Duration::from_micros(50)) {
+                                    Ok(v) => got.push(v),
+                                    Err(RecvTimeoutError::Timeout) => {}
+                                    Err(RecvTimeoutError::Disconnected) => break,
+                                }
+                            },
+                            _ => loop {
+                                match rx.try_recv() {
+                                    Ok(v) => got.push(v),
+                                    Err(TryRecvError::Empty) => std::thread::yield_now(),
+                                    Err(TryRecvError::Disconnected) => break,
+                                }
+                            },
+                        }
+                        got
+                    })
+                })
+                .collect();
+            drop(rx);
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|s| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_SENDER {
+                            tx.send(s * PER_SENDER + i).unwrap();
+                            // Now and then let the receivers drain the
+                            // queue, so they park and need waking.
+                            if i % 1000 == 0 {
+                                std::thread::sleep(Duration::from_micros(200));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            for s in senders {
+                s.join().unwrap();
+            }
+            let mut got: Vec<u64> = receivers
+                .into_iter()
+                .flat_map(|r| r.join().unwrap())
+                .collect();
+            got.sort_unstable();
+            got
+        });
+        let want: Vec<u64> = (0..SENDERS * PER_SENDER).collect();
+        assert_eq!(got.len(), want.len(), "lost or duplicated messages");
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn disconnect_wakes_every_parked_receiver() {
+        within(30, || {
+            let (tx, rx) = unbounded::<u8>();
+            let parked: Vec<_> = (0..4)
+                .map(|k| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        if k % 2 == 0 {
+                            rx.recv().is_err()
+                        } else {
+                            rx.recv_timeout(Duration::from_secs(3600))
+                                == Err(RecvTimeoutError::Disconnected)
+                        }
+                    })
+                })
+                .collect();
+            while rx.parked() < 4 {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            for p in parked {
+                assert!(
+                    p.join().unwrap(),
+                    "receiver saw a message, not a disconnect"
+                );
+            }
+            assert_eq!(rx.parked(), 0);
+        });
+    }
+
+    #[test]
+    fn send_wakes_a_parked_receiver() {
+        within(30, || {
+            let (tx, rx) = unbounded::<u8>();
+            let rx2 = rx.clone();
+            let h = std::thread::spawn(move || rx2.recv());
+            while rx.parked() < 1 {
+                std::thread::yield_now();
+            }
+            tx.send(7).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(7));
+        });
     }
 
     #[test]

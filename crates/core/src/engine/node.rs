@@ -20,6 +20,27 @@
 //! written to both the device and host caches, which is what the level-3
 //! distributed cache relies on.
 //!
+//! ## Event loop: drain, then dispatch
+//!
+//! The conductor pays for a burst of ready work, not for each pair. Each
+//! time it wakes it handles the event it woke on and then every event
+//! already queued (`try_recv` until empty), running the continuations each
+//! one releases. Only then does it dispatch: the compare, result-copy and
+//! post-process tasks the burst produced were deferred on their resources
+//! and now go out as one batch message per resource (see the
+//! `engine::resource` module), whose completion events come back as one
+//! `Event::Batch`. The permits of the jobs the burst finished go back to
+//! the job limiter in one call, so the submitting thread wakes once per
+//! burst, too.
+//!
+//! Fill stages (read, parse, upload, pre-process, write-back) are sent the
+//! moment they are ready and post their events one by one, so a finished
+//! fill never waits behind a batch. There is no batch-size setting: a batch
+//! is whatever the burst held, which the concurrent-job limit and the
+//! device lease cap bound. Before it parks on an empty queue the conductor
+//! yields its core once, so that runnable resource threads on a busy host
+//! add to the next burst.
+//!
 //! ## Deadlock freedom
 //!
 //! Jobs acquire leases in `(left, right)` order and *release everything*
@@ -121,8 +142,16 @@ pub(crate) enum Event {
     /// A message from a peer node (with the sender's rank from the
     /// transport envelope).
     Remote { from: usize, msg: NodeMsg },
+    /// The events of one resource batch, in the order its tasks ran.
+    Batch(Vec<Event>),
     /// Stop the conductor (sent after cluster-wide completion).
     Shutdown,
+}
+
+impl From<Vec<Event>> for Event {
+    fn from(events: Vec<Event>) -> Self {
+        Event::Batch(events)
+    }
 }
 
 struct Job {
@@ -347,9 +376,9 @@ struct Conductor<A: Application> {
     outputs: SharedOutputs<A>,
     counters: Arc<NodeCounters>,
     limiter: Arc<JobLimiter>,
+    /// Jobs finished in the current burst whose permits are still held.
+    finished: usize,
     events_rx: Receiver<Event>,
-    #[allow(dead_code)]
-    events_tx: Sender<Event>,
     recorder: Arc<TraceRecorder>,
     shutdown: bool,
 }
@@ -516,8 +545,8 @@ impl<A: Application> Conductor<A> {
             outputs,
             counters,
             limiter,
+            finished: 0,
             events_rx,
-            events_tx,
             recorder,
             shutdown: false,
         }
@@ -525,15 +554,37 @@ impl<A: Application> Conductor<A> {
 
     fn run(mut self) -> NodeReport {
         while !self.shutdown {
-            match self.events_rx.recv() {
-                Ok(event) => {
-                    self.handle(event);
-                    self.drain_conts();
-                }
-                Err(_) => break,
+            let Ok(event) = self.events_rx.recv() else {
+                break;
+            };
+            self.handle(event);
+            while !self.shutdown {
+                let Ok(event) = self.events_rx.try_recv() else {
+                    break;
+                };
+                self.handle(event);
+            }
+            self.flush_batches();
+            // About to park: first let any runnable resource thread have
+            // this core, so that its events make the next burst larger
+            // instead of each costing the conductor a wake-up of its own.
+            // With a core to spare this returns at once.
+            if self.events_rx.is_empty() {
+                std::thread::yield_now();
             }
         }
         self.finish()
+    }
+
+    /// Sends the tasks the last burst deferred, one batch per resource,
+    /// and returns the permits of the burst's finished jobs in one call.
+    fn flush_batches(&mut self) {
+        for r in self.gpu.iter_mut().chain(&mut self.d2h) {
+            r.flush();
+        }
+        self.cpu.flush();
+        self.limiter
+            .release_many(std::mem::take(&mut self.finished));
     }
 
     fn finish(self) -> NodeReport {
@@ -570,8 +621,15 @@ impl<A: Application> Conductor<A> {
         report
     }
 
+    /// Handles one event and runs every continuation it releases.
     fn handle(&mut self, event: Event) {
         match event {
+            Event::Batch(events) => {
+                for e in events {
+                    self.handle(e);
+                }
+                return;
+            }
             Event::Submit { pair, dev } => self.submit_job(pair, dev),
             Event::IoDone { item, result } => self.on_io_done(item, result),
             Event::ParseDone { item, result } => self.on_parse_done(item, result),
@@ -600,6 +658,7 @@ impl<A: Application> Conductor<A> {
             Event::Remote { from, msg } => self.on_remote(from, msg),
             Event::Shutdown => self.shutdown = true,
         }
+        self.drain_conts();
     }
 
     // ---- job lifecycle -------------------------------------------------
@@ -712,7 +771,7 @@ impl<A: Application> Conductor<A> {
         let right_buf = self.dev_slot_bufs[dev][right];
         let device = Arc::clone(&self.devices[dev]);
         let app = Arc::clone(&self.app);
-        self.gpu[dev].submit(
+        self.gpu[dev].defer(
             TaskKind::Compare,
             id,
             Box::new(move || {
@@ -734,7 +793,7 @@ impl<A: Application> Conductor<A> {
                 let (dev, result_buf) = (job.dev, job.result_buf.expect("result buffer"));
                 let result_bytes = self.app.result_bytes();
                 let device = Arc::clone(&self.devices[dev]);
-                self.d2h[dev].submit(
+                self.d2h[dev].defer(
                     TaskKind::CopyOut,
                     id,
                     Box::new(move || {
@@ -762,7 +821,7 @@ impl<A: Application> Conductor<A> {
                 let pair = job.pair;
                 let app = Arc::clone(&self.app);
                 let outputs = Arc::clone(&self.outputs);
-                self.cpu.submit(
+                self.cpu.defer(
                     TaskKind::Postprocess,
                     id,
                     Box::new(move || {
@@ -792,7 +851,9 @@ impl<A: Application> Conductor<A> {
     fn finish_job(&mut self, id: JobId) {
         self.jobs.remove(&id);
         self.counters.done.fetch_add(1, Ordering::Release);
-        self.limiter.release();
+        // The permit goes back with the rest of the burst's, in
+        // `flush_batches`.
+        self.finished += 1;
     }
 
     fn fail_job(&mut self, id: JobId, cause: String) {

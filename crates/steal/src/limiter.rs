@@ -76,11 +76,24 @@ impl JobLimiter {
 
     /// Releases one permit.
     pub fn release(&self) {
+        self.release_many(1);
+    }
+
+    /// Releases `n` permits at once, waking waiters once rather than per
+    /// permit.
+    pub fn release_many(&self, n: usize) {
+        if n == 0 {
+            return;
+        }
         let mut avail = self.available.lock();
-        assert!(*avail < self.limit, "release without matching acquire");
-        *avail += 1;
+        assert!(*avail + n <= self.limit, "release without matching acquire");
+        *avail += n;
         drop(avail);
-        self.cond.notify_one();
+        if n == 1 {
+            self.cond.notify_one();
+        } else {
+            self.cond.notify_all();
+        }
     }
 
     /// How many acquisitions had to wait (back-pressure engagements).
@@ -120,6 +133,47 @@ mod tests {
     fn over_release_panics() {
         let l = JobLimiter::new(1);
         l.release();
+    }
+
+    #[test]
+    fn release_many_returns_a_burst_of_permits() {
+        let l = JobLimiter::new(3);
+        l.acquire();
+        l.acquire();
+        l.release_many(0);
+        assert_eq!(l.available(), 1);
+        l.release_many(2);
+        assert_eq!(l.available(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "release without matching acquire")]
+    fn release_many_beyond_acquired_panics() {
+        let l = JobLimiter::new(2);
+        l.acquire();
+        l.release_many(2);
+    }
+
+    #[test]
+    fn release_many_wakes_every_waiter() {
+        let l = Arc::new(JobLimiter::new(2));
+        l.acquire();
+        l.acquire();
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let l = Arc::clone(&l);
+                std::thread::spawn(move || l.acquire())
+            })
+            .collect();
+        // Both waiters count themselves before they park.
+        while l.waits() < 2 {
+            std::thread::yield_now();
+        }
+        l.release_many(2);
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(l.available(), 0);
     }
 
     #[test]
